@@ -14,7 +14,6 @@ from .tree_sim import (
     GenerationBuffer,
     ReplicateSeed,
     TransitionKernel,
-    node_children,
     node_randomness,
     simulate_generations,
     collect_statistic,

@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .quadrature import QuadratureRule
-from .tree_sim import NodeStream, TransitionKernel, stream_normal_pairs
+from . import tree_sim
+from .tree_sim import NodeStream, TransitionKernel
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -88,7 +89,7 @@ def bar_kernel(model: BarModel) -> TransitionKernel:
         return bar_transition(x, stream, model)
 
     def sample_block(parent_states, stream_states):
-        e0, e1 = stream_normal_pairs(stream_states, 0)
+        e0, e1 = tree_sim.stream_normal_pairs(stream_states, 0)
         ax = model.a * parent_states
         return ax + model.sigma * e0, ax + model.sigma * e1
 

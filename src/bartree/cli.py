@@ -17,6 +17,7 @@ from .bar_model import (
     stationary_initial,
 )
 from .harness import (
+    DEFAULT_CHUNK,
     ExperimentConfig,
     config_from_dict,
     export,
@@ -38,6 +39,7 @@ from .tree_sim import (
     TREE_SCOPE,
     ReplicateSeed,
     dump_trajectory,
+    scope_generations,
     simulate_generations,
 )
 
@@ -69,14 +71,19 @@ def cmd_check(args) -> int:
     return 0 if (report.initial_ok and regime.admissible) else 1
 
 
-def cmd_simulate(args) -> int:
+def _single_tree(args):
+    """Generations 0..n of replicate 0 of `--seed`, stationary root."""
     model = BarModel(args.a, args.sigma)
-    gens = simulate_generations(
+    return simulate_generations(
         bar_kernel(model),
         gaussian_initial_sampler(stationary_initial(model)),
         args.n,
         ReplicateSeed(args.seed, 0),
     )
+
+
+def cmd_simulate(args) -> int:
+    gens = _single_tree(args)
     if args.dump is not None:
         with open(args.dump, "w", newline="") as fh:
             dump_trajectory(gens, fh)
@@ -87,21 +94,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    model = BarModel(args.a, args.sigma)
-    scope = SCOPE_ALIASES[args.scope]
+    members = scope_generations(SCOPE_ALIASES[args.scope], args.n)
     h = bandwidth(args.n, BandwidthSchedule(args.gamma))
     xs = np.array([float(tok) for tok in args.x.split(",")])
-    parts = []
-    gens = simulate_generations(
-        bar_kernel(model),
-        gaussian_initial_sampler(stationary_initial(model)),
-        args.n,
-        ReplicateSeed(args.seed, 0),
+    sample = np.concatenate(
+        [buf.states for buf in _single_tree(args) if buf.generation in members]
     )
-    for buf in gens:
-        if scope == TREE_SCOPE or buf.generation == args.n:
-            parts.append(buf.states)
-    sample = np.concatenate(parts)
     mu_hat = density_estimate(sample, xs, h, gaussian_kernel())
     print("x,mu_hat")
     for xq, v in zip(xs, np.atleast_1d(mu_hat)):
@@ -279,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                    action=argparse.BooleanOptionalAction, default=None)
     _add_initial_flags(p)
     p.add_argument("--out", type=str, default=".", help="output directory")
-    p.add_argument("--chunk-size", type=int, default=125)
+    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK)
     p.add_argument("--histogram", action="store_true", help="also write histogram.csv")
     p.add_argument("--ecdf", action="store_true", help="also write ecdf.csv")
     p.add_argument("--bins", type=int, default=None, help="histogram bin count")

@@ -27,6 +27,7 @@ from . import tree_sim
 from .bar_model import (
     BarModel,
     GaussianInitial,
+    bar_kernel,
     check_assumptions,
     invariant_density,
     stationary_initial,
@@ -38,8 +39,9 @@ from .smoothing import (
     admissible_bandwidth,
     bandwidth,
     gaussian_kernel,
+    parzen_sum,
 )
-from .tree_sim import GENERATION_SCOPE, TREE_SCOPE, ReplicateSeed
+from .tree_sim import GENERATION_SCOPE
 
 KERNELS = {"gaussian": gaussian_kernel}
 
@@ -89,8 +91,7 @@ def _validate(config: ExperimentConfig):
     if config.kernel_name not in KERNELS:
         raise ValueError(f"unknown kernel {config.kernel_name!r}")
     K = KERNELS[config.kernel_name]()
-    if config.scope not in (GENERATION_SCOPE, TREE_SCOPE):
-        raise ValueError(f"unknown scope {config.scope!r}")
+    tree_sim.scope_generations(config.scope, config.n)  # rejects an unknown scope
     if config.n < 0 or config.n > tree_sim.MAX_GENERATION:
         raise ValueError(f"tree depth n={config.n} out of range")
     if config.n0 < 1:
@@ -104,6 +105,12 @@ def _validate(config: ExperimentConfig):
     check_assumptions(model, initial)
     report = admissible_bandwidth(schedule, K.order, model.alpha)
     return model, schedule, K, initial, report
+
+
+def _zeta_block(parzen_sums, cardinality, h, mu_x):
+    """zeta = |A|^{1/2} h^{1/2} (mu_hat - mu(x)) from per-replicate Parzen sums."""
+    mu_hat = parzen_sums / (cardinality * h)
+    return np.sqrt(cardinality) * np.sqrt(h) * (mu_hat - mu_x)
 
 
 def run_clt_experiment(config: ExperimentConfig, chunk_size: int = DEFAULT_CHUNK) -> CltRunResult:
@@ -123,79 +130,47 @@ def run_clt_experiment(config: ExperimentConfig, chunk_size: int = DEFAULT_CHUNK
     limit = theoretical_limit(x, K, model)
     record_prev = config.record_previous_generation
     h_prev = bandwidth(n - 1, schedule) if record_prev else None
-
-    card_gen = 1 << n
-    card_tree = (2 << n) - 1
-    card_main = card_gen if config.scope == GENERATION_SCOPE else card_tree
+    sample_block = bar_kernel(model).sample_block
+    members = tree_sim.scope_generations(config.scope, n)
+    card_main = tree_sim.scope_size(config.scope, n)
+    card_prev = tree_sim.scope_size(GENERATION_SCOPE, n - 1) if record_prev else None
 
     zetas = np.empty(config.n0)
     zetas_prev = np.empty(config.n0) if record_prev else None
 
     for start in range(0, config.n0, chunk_size):
         stop = min(start + chunk_size, config.n0)
-        keys = np.array(
-            [ReplicateSeed(config.master_seed, r).key() for r in range(start, stop)],
-            dtype=np.uint64,
-        )
-        rows = stop - start
-
+        keys = tree_sim.replicate_keys(config.master_seed, range(start, stop))
         z0, _ = tree_sim.stream_normal_pairs(tree_sim.initial_states(keys), 0)
-        states = (initial.m0 + initial.rho0 * z0)[:, None]
+        roots = initial.m0 + initial.rho0 * z0
 
-        acc_main = np.zeros(rows)
-        acc_prev = np.zeros(rows) if record_prev else None
+        acc_main = np.zeros(stop - start)
+        for g, states in tree_sim.generation_blocks(sample_block, keys, roots, n):
+            if g in members:
+                acc_main += parzen_sum(K, x, states, h_n)
+            if record_prev and g == n - 1:
+                acc_prev = parzen_sum(K, x, states, h_prev)
 
-        def tally(gen, states):
-            if config.scope == TREE_SCOPE or gen == n:
-                acc_main[:] += K.evaluate((x - states) / h_n).sum(axis=1)
-            if record_prev and gen == n - 1:
-                acc_prev[:] = K.evaluate((x - states) / h_prev).sum(axis=1)
-
-        tally(0, states)
-        for g in range(n):
-            node_states = tree_sim.generation_states(keys, g)
-            e0, e1 = tree_sim.stream_normal_pairs(node_states, 0)
-            ax = model.a * states
-            nxt = np.empty((rows, 2 << g))
-            nxt[:, 0::2] = ax + model.sigma * e0
-            nxt[:, 1::2] = ax + model.sigma * e1
-            states = nxt
-            tally(g + 1, states)
-
-        mu_hat = acc_main / (card_main * h_n)
-        zetas[start:stop] = np.sqrt(card_main) * np.sqrt(h_n) * (mu_hat - mu_x)
+        zetas[start:stop] = _zeta_block(acc_main, card_main, h_n, mu_x)
         if record_prev:
-            mu_hat_prev = acc_prev / ((card_gen >> 1) * h_prev)
-            zetas_prev[start:stop] = (
-                np.sqrt(card_gen >> 1) * np.sqrt(h_prev) * (mu_hat_prev - mu_x)
-            )
+            zetas_prev[start:stop] = _zeta_block(acc_prev, card_prev, h_prev, mu_x)
 
-    samples = [
-        FluctuationSample(
-            zeta=float(z),
-            scope=config.scope,
-            n=n,
-            gamma=config.gamma,
-            x=x,
-            replicate_index=r,
-            seed=config.master_seed,
-        )
-        for r, z in enumerate(zetas)
-    ]
-    prev_samples = None
-    if record_prev:
-        prev_samples = [
+    def as_samples(zs, scope, generation):
+        return [
             FluctuationSample(
                 zeta=float(z),
-                scope=GENERATION_SCOPE,
-                n=n - 1,
+                scope=scope,
+                n=generation,
                 gamma=config.gamma,
                 x=x,
                 replicate_index=r,
                 seed=config.master_seed,
             )
-            for r, z in enumerate(zetas_prev)
+            for r, z in enumerate(zs)
         ]
+
+    samples = as_samples(zetas, config.scope, n)
+    prev_samples = as_samples(zetas_prev, GENERATION_SCOPE, n - 1) if record_prev else None
 
     ks = ks_distance(zetas, limit.variance)
     mean = float(np.mean(zetas))
@@ -326,26 +301,15 @@ def monte_carlo_generation_sums(
     if min(f_by_gen) < 0 or max(f_by_gen) > n:
         raise ValueError("generations must lie in 0..n")
     model._require_noise("moment Monte Carlo")
+    sample_block = bar_kernel(model).sample_block
     out = {g: np.empty(reps) for g in f_by_gen}
     for start in range(0, reps, chunk_size):
         stop = min(start + chunk_size, reps)
-        keys = np.array(
-            [ReplicateSeed(master_seed, r).key() for r in range(start, stop)],
-            dtype=np.uint64,
-        )
-        states = np.full((stop - start, 1), float(x))
-        if 0 in f_by_gen:
-            out[0][start:stop] = f_by_gen[0](states).sum(axis=1)
-        for g in range(n):
-            node_states = tree_sim.generation_states(keys, g)
-            e0, e1 = tree_sim.stream_normal_pairs(node_states, 0)
-            ax = model.a * states
-            nxt = np.empty((stop - start, 2 << g))
-            nxt[:, 0::2] = ax + model.sigma * e0
-            nxt[:, 1::2] = ax + model.sigma * e1
-            states = nxt
-            if g + 1 in f_by_gen:
-                out[g + 1][start:stop] = f_by_gen[g + 1](states).sum(axis=1)
+        keys = tree_sim.replicate_keys(master_seed, range(start, stop))
+        roots = np.full(stop - start, float(x))
+        for g, states in tree_sim.generation_blocks(sample_block, keys, roots, n):
+            if g in f_by_gen:
+                out[g][start:stop] = f_by_gen[g](states).sum(axis=1)
     return out
 
 

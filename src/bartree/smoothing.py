@@ -171,6 +171,11 @@ def admissible_bandwidth(
     )
 
 
+def parzen_sum(K: SmoothingKernel, x, sample, h: float):
+    """sum_u K((x - X_u)/h) over the last axis of `sample`; `x` broadcasts."""
+    return K.evaluate((x - sample) / h).sum(axis=-1)
+
+
 def density_estimate(sample, x_points, h: float, K: SmoothingKernel):
     """mu_hat at each query point: |sample|^{-1} h^{-d} sum K((x - X_u)/h).
 
@@ -191,7 +196,7 @@ def density_estimate(sample, x_points, h: float, K: SmoothingKernel):
     chunk = 1 << 16
     for start in range(0, sample.size, chunk):
         block = sample[start : start + chunk]
-        acc += K.evaluate((xq1[:, None] - block[None, :]) / h).sum(axis=1)
+        acc += parzen_sum(K, xq1[:, None], block[None, :], h)
     out = acc / (sample.size * h**K.dim)
     return float(out[0]) if scalar else out
 

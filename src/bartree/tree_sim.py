@@ -88,12 +88,6 @@ class NodeAddress:
         return (1 << self.generation) + self.index
 
 
-def node_children(addr: NodeAddress):
-    """Children of (g, i): ((g+1, 2i), (g+1, 2i+1))."""
-    g, i = addr.generation + 1, 2 * addr.index
-    return NodeAddress(g, i), NodeAddress(g, i + 1)
-
-
 @dataclass(frozen=True)
 class ReplicateSeed:
     """(master_seed, replicate_index): the identity of one replicate."""
@@ -109,6 +103,11 @@ class ReplicateSeed:
         """64-bit replicate key; chained avalanche keeps nearby master
         seeds / replicate indices statistically unrelated."""
         return _mix((_mix(self.master_seed) + ((self.replicate_index + 1) * GOLDEN)) & MASK64)
+
+
+def replicate_keys(master_seed: int, replicates: Iterable[int]) -> np.ndarray:
+    """uint64 keys of the given replicate indices of `master_seed`."""
+    return np.array([ReplicateSeed(master_seed, r).key() for r in replicates], dtype=np.uint64)
 
 
 class NodeStream:
@@ -151,7 +150,7 @@ def initial_randomness(seed: ReplicateSeed) -> NodeStream:
     return NodeStream(_mix(seed.key() ^ 1))
 
 
-# -- vectorized twins of the scalar stream (used by the batch harness) ------
+# -- vectorized twins of the scalar stream (used by the block engine) -------
 
 def generation_states(keys: np.ndarray, generation: int) -> np.ndarray:
     """uint64 stream states of all nodes of one generation, for a block
@@ -197,14 +196,43 @@ class GenerationBuffer:
 class TransitionKernel:
     """Sampling procedure (parent state, node randomness) -> two children.
 
-    The scalar `sample` is the defining contract (any kernel); `sample_block`,
-    when present, must be its vectorized bit-identical twin acting on a whole
-    generation at once and is what the batch harness calls.
+    The scalar `sample` is the defining contract; `sample_block` is its
+    vectorized bit-identical twin, mapping (parent states, their stream
+    states) of equal shape to the arrays of first and second children.
+    The block engine runs on `sample_block` alone.
     """
 
     sample: Callable[[float, NodeStream], tuple]
     descriptor: str
-    sample_block: Callable = None
+    sample_block: Callable[[np.ndarray, np.ndarray], tuple]
+
+
+def generation_blocks(
+    sample_block: Callable[[np.ndarray, np.ndarray], tuple],
+    keys: np.ndarray,
+    roots: np.ndarray,
+    n: int,
+) -> Iterator[tuple]:
+    """Yield (g, states) for g = 0..n over a block of replicates.
+
+    states has shape (len(keys), 2^g): row r is generation g of the tree
+    keyed keys[r] and rooted at roots[r]. Node (g, i) draws its children
+    (g+1, 2i) and (g+1, 2i+1) from its own stream. A step's temporaries
+    (stream states, normals) are freed before its generation is yielded.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n > MAX_GENERATION:
+        raise OverflowError(f"tree depth {n} exceeds heap-code capacity")
+    states = np.asarray(roots, dtype=float)[:, None]
+    yield 0, states
+    for g in range(n):
+        first, second = sample_block(states, generation_states(keys, g))
+        states = np.empty((len(keys), 2 << g))
+        states[:, 0::2] = first
+        states[:, 1::2] = second
+        del first, second
+        yield g + 1, states
 
 
 def simulate_generations(
@@ -213,28 +241,31 @@ def simulate_generations(
     n: int,
     seed: ReplicateSeed,
 ) -> Iterator[GenerationBuffer]:
-    """Yield GenerationBuffer for g = 0..n, parent buffer to children.
+    """Yield GenerationBuffer for g = 0..n of one replicate's tree.
 
-    Only the current generation is materialized here; consumers that
-    need the whole tree must store the buffers themselves. Children of
-    node u are drawn from u's own stream, so any traversal or
-    parallelization over nodes reproduces the same tree.
+    The root is drawn by `initial_sampler` from the reserved stream; the
+    generations come from the block engine. Only the current generation
+    is materialized here; consumers that need the whole tree must store
+    the buffers themselves.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > MAX_GENERATION:
-        raise OverflowError(f"tree depth {n} exceeds heap-code capacity")
-    states = np.array([initial_sampler(initial_randomness(seed))], dtype=float)
-    yield GenerationBuffer(0, states)
-    for g in range(n):
-        nxt = np.empty(2 << g, dtype=float)
-        for i in range(1 << g):
-            stream = node_randomness(seed, NodeAddress(g, i))
-            y, z = kernel.sample(states[i], stream)
-            nxt[2 * i] = y
-            nxt[2 * i + 1] = z
-        states = nxt
-        yield GenerationBuffer(g + 1, states)
+    keys = replicate_keys(seed.master_seed, [seed.replicate_index])
+    root = initial_sampler(NodeStream(int(initial_states(keys)[0])))
+    for g, states in generation_blocks(kernel.sample_block, keys, [root], n):
+        yield GenerationBuffer(g, states[0])
+
+
+def scope_generations(scope: str, n: int) -> range:
+    """The generations that make up A_n: n alone for G_n, 0..n for T_n."""
+    if scope == GENERATION_SCOPE:
+        return range(n, n + 1)
+    if scope == TREE_SCOPE:
+        return range(n + 1)
+    raise ValueError(f"unknown scope {scope!r}")
+
+
+def scope_size(scope: str, n: int) -> int:
+    """|A_n|: 2^n for G_n, 2^(n+1) - 1 for T_n."""
+    return sum(1 << g for g in scope_generations(scope, n))
 
 
 def collect_statistic(
@@ -248,8 +279,7 @@ def collect_statistic(
     `f` must accept ndarray input. The sum is accumulated online so a
     streamed simulation never holds more than one generation.
     """
-    if scope not in (GENERATION_SCOPE, TREE_SCOPE):
-        raise ValueError(f"unknown scope {scope!r}")
+    members = scope_generations(scope, n)
     total = 0.0
     last_seen = -1
     for buf in generations:
@@ -260,11 +290,8 @@ def collect_statistic(
         last_seen = buf.generation
         if buf.generation > n:
             break
-        term = float(np.sum(f(buf.states)))
-        if scope == TREE_SCOPE:
-            total += term
-        elif buf.generation == n:
-            total = term
+        if buf.generation in members:
+            total += float(np.sum(f(buf.states)))
     if last_seen < n:
         raise ValueError(
             f"incomplete simulation: stream ended at generation {last_seen}, "

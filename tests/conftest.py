@@ -7,7 +7,15 @@ from bartree.bar_model import BarModel
 from bartree.quadrature import QuadratureRule
 from bartree.smoothing import gaussian_kernel
 
-EXACT_ZETA_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "exact_zeta_variance.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """scripts/<name>.py as a module, loaded by its path."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +45,10 @@ def exact_zeta():
     The script is the closed-form finite-n law of zeta_n and imports no
     package code, so it stays an independent yardstick for the simulator.
     """
-    spec = importlib.util.spec_from_file_location("exact_zeta_variance", EXACT_ZETA_SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("exact_zeta_variance")
+
+
+@pytest.fixture(scope="session")
+def script():
+    """load_script, for tests of the other study scripts."""
+    return load_script

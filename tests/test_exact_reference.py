@@ -14,7 +14,9 @@ zeta_n = |A_n|^{-1/2} M_{A_n}(f_h) - (|A_n| h)^{1/2} mu(x), so
 and the whole-tree sum is M_{T_n} = sum_{g <= n} M_{G_g}(f_{h_n}).
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,3 +106,44 @@ def test_tree_scope_law_matches_oracle(a, quad64, exact_zeta):
         f"tree-scope Var(zeta_{n}) at a={a}: oracle {var!r}, closed form {exact_var!r}"
     )
     _assert_mean_close(zeta_mean, exact_shift, exact_var)
+
+
+# -- the script's command line -------------------------------------------------
+
+# The README's table: `python3 scripts/exact_zeta_variance.py` at n=15.
+DEFAULT_TABLE = """\
+case                             var_n   var_lim   ratio     mean  corr(n,n-1)
+a=0.5 gamma=0.201 gen          0.05022   0.05171   0.971   0.0173        0.132
+a=0.7 gamma=0.201 gen          0.07154   0.05223   1.370  -0.0065        0.408
+a=0.9 gamma=0.696 gen          0.05149   0.04178   1.232  -0.0000        0.191
+a=0.9 gamma=0.201 gen          1.69789   0.04178  40.640  -0.0093        0.976
+a=0.5 gamma=0.201 tree         0.06687   0.05171   1.293   0.0245          nan
+a=0.7 gamma=0.201 tree         0.17100   0.05223   3.274  -0.0092          nan
+"""
+
+
+def test_default_table_is_unchanged(exact_zeta, capsys):
+    assert exact_zeta.main([]) == 0
+    assert capsys.readouterr().out == DEFAULT_TABLE
+
+
+@pytest.mark.parametrize("scope", ["gen", "tree"])
+def test_cancelled_variance_is_refused(exact_zeta, capsys, scope):
+    # at n=200, E[M^2] - E[M]^2 leaves var_n = -24 (gen) or -48 (tree)
+    argv = ["--a", "0.9", "--gamma", "0.696", "--n", "200", "--scope", scope]
+    assert exact_zeta.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == DEFAULT_TABLE.splitlines()[:1]  # the header, no row
+    assert "E[M^2] - E[M]^2" in err
+    assert "n=40" in err
+
+
+def test_script_imports_no_package_code(exact_zeta):
+    tree = ast.parse(Path(exact_zeta.__file__).read_text())
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {node.module.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"argparse", "sys", "math"}

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from bartree.bar_model import BarModel, GaussianInitial
+from bartree.bar_model import (
+    BarModel,
+    GaussianInitial,
+    bar_transition,
+    invariant_density,
+    stationary_initial,
+)
 from bartree.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -21,6 +27,7 @@ from bartree.harness import (
     run_clt_experiment,
 )
 from bartree import tree_sim
+from bartree.smoothing import BandwidthSchedule, bandwidth, gaussian_kernel
 from bartree.tree_sim import GENERATION_SCOPE, TREE_SCOPE, NodeAddress, ReplicateSeed
 
 VAR_GEN_A05_X13 = 0.051713226787030620
@@ -117,6 +124,49 @@ def test_master_seed_changes_everything():
     z1 = np.array([s.zeta for s in r1.samples])
     z2 = np.array([s.zeta for s in r2.samples])
     assert not np.any(z1 == z2)
+
+
+def _scalar_spec_tree(config, r):
+    """Generations 0..n of replicate r, node by node from the scalar RNG spec."""
+    model = BarModel(config.a, config.sigma)
+    seed = ReplicateSeed(config.master_seed, r)
+    initial = stationary_initial(model)
+    z, _ = tree_sim.initial_randomness(seed).normal_pair(0)
+    gens = [np.array([initial.m0 + initial.rho0 * z])]
+    for g in range(config.n):
+        children = []
+        for i, parent in enumerate(gens[-1]):
+            stream = tree_sim.node_randomness(seed, NodeAddress(g, i))
+            children.extend(bar_transition(parent, stream, model))
+        gens.append(np.array(children))
+    return gens
+
+
+def _scalar_spec_zeta(gens, generations, h, x, mu_x):
+    """zeta over the union of `generations`, one Parzen sum per generation."""
+    K = gaussian_kernel()
+    acc = np.float64(0.0)
+    for g in generations:
+        acc += K.evaluate((x - gens[g]) / h).sum()
+    card = sum(gens[g].size for g in generations)
+    return np.sqrt(card) * np.sqrt(h) * (acc / (card * h) - mu_x)
+
+
+@pytest.mark.parametrize("scope", [GENERATION_SCOPE, TREE_SCOPE])
+def test_clt_zetas_match_scalar_spec(scope):
+    # every replicate rebuilt from its own streams; two chunks, the second
+    # one short, so a swap of children or of key rows shows
+    cfg = _config(n=4, n0=3, scope=scope, record_previous_generation=True)
+    res = run_clt_experiment(cfg, chunk_size=2)
+    schedule = BandwidthSchedule(cfg.gamma)
+    h, h_prev = bandwidth(cfg.n, schedule), bandwidth(cfg.n - 1, schedule)
+    mu_x = invariant_density(cfg.x, BarModel(cfg.a, cfg.sigma))
+    members = range(cfg.n + 1) if scope == TREE_SCOPE else [cfg.n]
+    for r in range(cfg.n0):
+        gens = _scalar_spec_tree(cfg, r)
+        assert res.samples[r].zeta == _scalar_spec_zeta(gens, members, h, cfg.x, mu_x)
+        want_prev = _scalar_spec_zeta(gens, [cfg.n - 1], h_prev, cfg.x, mu_x)
+        assert res.prev_samples[r].zeta == want_prev
 
 
 # -- previous-generation recording ----------------------------------------------

@@ -24,27 +24,21 @@ from bartree.tree_sim import (
     collect_statistic,
     dump_trajectory,
     initial_randomness,
-    node_children,
     node_randomness,
     simulate_generations,
 )
 
 
-def constant_tree_kernel(value=None):
+def constant_tree_kernel():
     # children copy the parent; useful as a degenerate oracle
     return TransitionKernel(
         sample=lambda x, stream: (x, x),
         descriptor="copy",
+        sample_block=lambda parents, streams: (parents, parents),
     )
 
 
 # -- addressing ---------------------------------------------------------------
-
-def test_node_children_examples():
-    assert node_children(NodeAddress(0, 0)) == (NodeAddress(1, 0), NodeAddress(1, 1))
-    assert node_children(NodeAddress(1, 1)) == (NodeAddress(2, 2), NodeAddress(2, 3))
-    assert node_children(NodeAddress(3, 5)) == (NodeAddress(4, 10), NodeAddress(4, 11))
-
 
 def test_address_validation():
     with pytest.raises(ValueError):
@@ -53,9 +47,6 @@ def test_address_validation():
         NodeAddress(-1, 0)
     with pytest.raises(OverflowError):
         NodeAddress(MAX_GENERATION + 1, 0)
-    # children of a deepest-generation node overflow the heap code
-    with pytest.raises(OverflowError):
-        node_children(NodeAddress(MAX_GENERATION, 0))
 
 
 def test_heap_code_is_bijective_across_generations():
