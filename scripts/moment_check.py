@@ -17,7 +17,8 @@ import numpy as np
 
 from bartree.bar_model import BarModel
 from bartree.harness import monte_carlo_generation_sums
-from bartree.oracle import QuadratureRule, mean_MGn, second_moment_MGn
+from bartree.oracle import mean_MGn, second_moment_MGn
+from bartree.quadrature import QuadratureRule
 
 FUNCTIONS = {
     "id": lambda y: np.asarray(y, dtype=float),

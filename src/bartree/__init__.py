@@ -26,7 +26,6 @@ from .bar_model import (
     bar_transition,
     invariant_density,
     q_power_apply,
-    h_function,
     check_assumptions,
 )
 from .smoothing import (
@@ -40,15 +39,10 @@ from .smoothing import (
     bias_term,
 )
 from .fluctuations import (
-    FunctionSequenceVariant,
     FluctuationSample,
     GaussianLimit,
     zeta,
     theoretical_limit,
-    additive_statistic,
-    asymptotic_variance,
-    finite_n_variance,
-    mu_f_means,
     cross_generation_pairs,
 )
 from .oracle import (

@@ -93,11 +93,7 @@ def bar_kernel(model: BarModel) -> TransitionKernel:
         ax = model.a * parent_states
         return ax + model.sigma * e0, ax + model.sigma * e1
 
-    return TransitionKernel(
-        sample=sample,
-        descriptor=f"BAR(a={model.a}, sigma={model.sigma})",
-        sample_block=sample_block,
-    )
+    return TransitionKernel(sample=sample, sample_block=sample_block)
 
 
 def stationary_initial(model: BarModel) -> GaussianInitial:
@@ -144,36 +140,11 @@ def q_power_apply(f, n: int, x, model: BarModel, quad: QuadratureRule):
     std = math.sqrt(max(0.0, 1.0 - an * an)) * (
         model.sigma_a if model.sigma > 0 else 0.0
     )
-    pts = an * x[..., None] + (math.sqrt(2.0) * std) * quad.nodes
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(
-            "integrand growth: f is not finite over the quadrature range "
-            f"(n={n}, std={std:g})"
-        )
-    out = vals @ quad.weights / math.sqrt(math.pi)
-    return float(out) if x.ndim == 0 else out
-
-
-def h_function(x, model: BarModel):
-    """The weight function
-
-        h(x) = (1 - a^4)^{-1/4} exp( a^2 (1-a^2)/(1+a^2) * x^2 / (2 sigma^2) ),
-
-    which dominates sqrt(density ratios) along the tree; h = 1 when a = 0.
-    """
-    model._require_noise("h function")
-    x = np.asarray(x, dtype=float)
-    a2 = model.a * model.a
-    coef = a2 * (1.0 - a2) / (1.0 + a2) / (2.0 * model.sigma * model.sigma)
-    out = (1.0 - a2 * a2) ** -0.25 * np.exp(coef * x * x)
-    return float(out) if x.ndim == 0 else out
+    return quad.expect(f, an * x, std)
 
 
 def check_assumptions(
-    model: BarModel,
-    initial: Optional[GaussianInitial] = None,
-    quad: Optional[QuadratureRule] = None,
+    model: BarModel, initial: Optional[GaussianInitial] = None
 ) -> BarAssumptionReport:
     """Verify the model-side assumptions and return the derived constants.
 
@@ -182,14 +153,15 @@ def check_assumptions(
     * initial_ok: N(m0, rho0^2) is admissible iff rho0 < sigma_a, or
       rho0 = sigma_a with m0 = 0. `initial=None` means the stationary law.
     * C0: sup mu + sup_{x,y} q(x, y) mu(y) = (1 + sqrt(1-a^2)) / sqrt(2 pi sigma^2).
-    * h_sq_mu_norm: <mu, h^2> by quadrature, with the quadrature measure
-      matched to the (analytically verified negative) combined Gaussian
-      exponent of mu * h^2.
+    * h_sq_mu_norm: <mu, h^2> for the weight function
+      h(x) = (1-a^4)^{-1/4} exp(a^2 (1-a^2)/(1+a^2) x^2/(2 sigma^2)),
+      which dominates sqrt(density ratios) along the tree; in closed form,
+          mu(x) h(x)^2 = (1-a^4)^{-1/2} sqrt(1-a^2) / sqrt(2 pi sigma^2)
+                         * exp(-(1-a^2)^2/(1+a^2) x^2/(2 sigma^2)),
+          <mu, h^2> = (1-a^4)^{-1/2} sqrt(1-a^2) sqrt(1+a^2)/(1-a^2) = 1/(1-a^2).
     * alpha_regime from 2 alpha^2 vs 1.
     """
     model._require_noise("assumption checks")
-    if quad is None:
-        quad = QuadratureRule.gauss_hermite(64)
     a2 = model.a * model.a
 
     k1 = 1
@@ -204,26 +176,6 @@ def check_assumptions(
 
     C0 = (1.0 + math.sqrt(1.0 - a2)) / (_SQRT_2PI * model.sigma)
 
-    # combined x^2 coefficient of mu * h^2; negative for every |a| < 1,
-    # checked before integrating so a divergent integral can never be
-    # silently "computed".
-    coef = -((1.0 - a2) ** 2) / ((1.0 + a2) * 2.0 * model.sigma**2)
-    if coef >= 0:
-        raise ValueError("mu * h^2 is not integrable for these parameters")
-    tau = math.sqrt(-0.5 / coef)
-    # mu and h^2 separately overflow/underflow far in the tails (h^2
-    # grows, mu shrinks faster), so the product is assembled in log space
-    log_norm = (
-        0.5 * math.log(1.0 - a2)
-        - math.log(_SQRT_2PI * model.sigma)
-        - 0.5 * math.log(1.0 - a2 * a2)
-    )
-    h_sq = quad.lebesgue(
-        lambda y: np.exp(log_norm + coef * y * y),
-        center=0.0,
-        scale=tau,
-    )
-
     two_alpha_sq = 2.0 * a2
     if two_alpha_sq < 1.0:
         regime = "sub_critical"
@@ -236,6 +188,6 @@ def check_assumptions(
         k1_min=k1,
         initial_ok=initial_ok,
         C0=C0,
-        h_sq_mu_norm=h_sq,
+        h_sq_mu_norm=1.0 / (1.0 - a2),
         alpha_regime=regime,
     )

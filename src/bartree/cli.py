@@ -18,7 +18,6 @@ from .bar_model import (
 )
 from .harness import (
     DEFAULT_CHUNK,
-    ExperimentConfig,
     config_from_dict,
     export,
     export_ecdf,
@@ -26,7 +25,8 @@ from .harness import (
     monte_carlo_generation_sums,
     run_clt_experiment,
 )
-from .oracle import QuadratureRule, cross_moment_MGn_MGm, mean_MGn, second_moment_MGn
+from .oracle import cross_moment_MGn_MGm, mean_MGn, second_moment_MGn
+from .quadrature import QuadratureRule
 from .smoothing import (
     BandwidthSchedule,
     admissible_bandwidth,
@@ -298,8 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -2,70 +2,18 @@
 
 The central object is
 
-    zeta_n = |A_n|^{1/2} h_n^{d/2} (mu_hat(x) - mu(x)),
+    zeta_n = |A_n|^{1/2} h_n^{1/2} (mu_hat(x) - mu(x)),
 
 whose limit law is N(0, mu(x) ||K||_2^2) for both A_n = G_n (one
-generation) and A_n = T_n (the whole tree). The generation-indexed
-decomposition behind it is the additive functional
-
-    N_n(f) = |G_n|^{-1/2} sum_{l=0}^n M_{G_{n-l}}( f_{l,n} - <mu, f_{l,n}> ),
-
-with three built-in function sequences f_{l,n} built from the kernel
-K_h(y) = h^{-d/2} K(y/h):
-
-    shift:    f_{l,n} = K_{h_{n-l}}(x - .)   (each generation at its own
-              bandwidth; limit variance 2 mu(x) ||K||_2^2)
-    id:       f_{l,n} = K_{h_n}(x - .)       (everything at h_n; same limit;
-              equals the rescaled whole-tree sum)
-    gen_only: f_{l,n} = K_{h_n}(x - .) 1{l=0}  (single generation;
-              limit variance mu(x) ||K||_2^2)
+generation) and A_n = T_n (the whole tree).
 """
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
 from .bar_model import BarModel, invariant_density
-from .quadrature import QuadratureRule
-from .smoothing import BandwidthSchedule, SmoothingKernel, bandwidth
-from .tree_sim import GENERATION_SCOPE, TREE_SCOPE, GenerationBuffer
-
-_VARIANT_TAGS = ("shift", "id", "gen_only")
-
-
-@dataclass(frozen=True)
-class FunctionSequenceVariant:
-    """One of the three kernel function sequences, anchored at x."""
-
-    tag: str
-    x: float
-    K: SmoothingKernel
-    schedule: BandwidthSchedule
-
-    def __post_init__(self):
-        if self.tag not in _VARIANT_TAGS:
-            raise ValueError(f"tag must be one of {_VARIANT_TAGS}, got {self.tag!r}")
-
-    def bandwidth_at(self, ell: int, n: int) -> Optional[float]:
-        """Bandwidth of f_{ell,n}, or None where the sequence vanishes."""
-        if not 0 <= ell <= n:
-            raise ValueError("need 0 <= ell <= n")
-        if self.tag == "shift":
-            return bandwidth(n - ell, self.schedule)
-        if self.tag == "id":
-            return bandwidth(n, self.schedule)
-        return bandwidth(n, self.schedule) if ell == 0 else None
-
-    def f_eval(self, ell: int, n: int, y):
-        """f_{ell,n}(y) = h^{-d/2} K((x - y)/h) at the variant's bandwidth."""
-        h = self.bandwidth_at(ell, n)
-        y = np.asarray(y, dtype=float)
-        if h is None:
-            return np.zeros_like(y)
-        d = self.K.dim
-        return h ** (-d / 2.0) * self.K.evaluate((self.x - y) / h)
+from .smoothing import SmoothingKernel
 
 
 @dataclass(frozen=True)
@@ -87,113 +35,18 @@ class GaussianLimit:
     variance: float
 
 
-def zeta(mu_hat: float, mu_x: float, cardinality: int, h_n: float, d: int) -> float:
-    """|A_n|^{1/2} h_n^{d/2} (mu_hat - mu(x))."""
+def zeta(mu_hat, mu_x: float, cardinality: int, h_n: float):
+    """|A_n|^{1/2} h_n^{1/2} (mu_hat - mu(x)); `mu_hat` may be an array."""
     if cardinality < 1:
         raise ValueError("cardinality must be >= 1")
     if h_n <= 0:
         raise ValueError("h_n must be positive")
-    return math.sqrt(cardinality) * h_n ** (d / 2.0) * (mu_hat - mu_x)
+    return np.sqrt(cardinality) * np.sqrt(h_n) * (mu_hat - mu_x)
 
 
 def theoretical_limit(x: float, K: SmoothingKernel, model: BarModel) -> GaussianLimit:
     """The CLT limit N(0, mu(x) ||K||_2^2) of zeta_n."""
     return GaussianLimit(mean=0.0, variance=invariant_density(x, model) * K.l2_norm_sq)
-
-
-def mu_f_means(
-    variant: FunctionSequenceVariant,
-    n: int,
-    model: BarModel,
-    quad: QuadratureRule,
-):
-    """<mu, f_{ell,n}> for ell = 0..n, by quadrature against mu.
-
-    With f = h^{-d/2} K((x-.)/h) the substitution y = x - h*u gives
-    <mu, f> = h^{d/2} * integral K(u) mu(x - h u) du.
-    """
-    out = np.zeros(n + 1)
-    for ell in range(n + 1):
-        h = variant.bandwidth_at(ell, n)
-        if h is None:
-            continue
-        out[ell] = math.sqrt(h) * quad.lebesgue(
-            lambda u: variant.K.evaluate(u) * invariant_density(variant.x - h * u, model)
-        )
-    return out
-
-
-def additive_statistic(
-    generations: Iterable[GenerationBuffer],
-    variant: FunctionSequenceVariant,
-    n: int,
-    mu_means,
-) -> float:
-    """N_n(f) = |G_n|^{-1/2} sum_l M_{G_{n-l}}(f_{l,n} - mu_means[l]).
-
-    `mu_means` are the centering constants <mu, f_{l,n}> (see
-    mu_f_means); they are inputs rather than recomputed here so a run
-    can share them across replicates.
-    """
-    total = 0.0
-    last_seen = -1
-    for buf in generations:
-        if buf.generation != last_seen + 1:
-            raise ValueError(
-                f"non-contiguous stream: generation {buf.generation} after {last_seen}"
-            )
-        last_seen = buf.generation
-        if buf.generation > n:
-            break
-        ell = n - buf.generation
-        h = variant.bandwidth_at(ell, n)
-        if h is None:
-            continue
-        total += float(np.sum(variant.f_eval(ell, n, buf.states)))
-        total -= buf.states.size * mu_means[ell]
-    if last_seen < n:
-        raise ValueError(
-            f"incomplete stream: ended at generation {last_seen}, needed {n}"
-        )
-    return total / math.sqrt(2.0**n)
-
-
-def asymptotic_variance(
-    variant: FunctionSequenceVariant,
-    model: BarModel,
-    quad: QuadratureRule,
-) -> float:
-    """The limit variance of N_n(f) for the built-in variants.
-
-    shift and id converge to 2 mu(x) ||K||_2^2, gen_only to
-    mu(x) ||K||_2^2 (the factor 2 is the geometric sum over generations).
-    """
-    base = invariant_density(variant.x, model) * variant.K.l2_norm_sq
-    return base if variant.tag == "gen_only" else 2.0 * base
-
-
-def finite_n_variance(
-    variant: FunctionSequenceVariant,
-    n: int,
-    model: BarModel,
-    quad: QuadratureRule,
-) -> float:
-    """The finite-n partial sum sigma_n^2 = sum_l 2^{-l} ||f_{l,n}||^2_{L2(mu)}.
-
-    Convergence diagnostic for asymptotic_variance; for f built from an
-    L2 kernel, ||f_{l,n}||^2 = integral K(u)^2 mu(x - h u) du.
-    """
-    total = 0.0
-    for ell in range(n + 1):
-        h = variant.bandwidth_at(ell, n)
-        if h is None:
-            continue
-        norm_sq = quad.lebesgue(
-            lambda u: variant.K.evaluate(u) ** 2
-            * invariant_density(variant.x - h * u, model)
-        )
-        total += 2.0**-ell * norm_sq
-    return total
 
 
 def cross_generation_pairs(result) -> np.ndarray:

@@ -32,7 +32,7 @@ from .bar_model import (
     invariant_density,
     stationary_initial,
 )
-from .fluctuations import FluctuationSample, GaussianLimit, theoretical_limit
+from .fluctuations import FluctuationSample, GaussianLimit, theoretical_limit, zeta
 from .smoothing import (
     BandwidthSchedule,
     RegimeReport,
@@ -107,12 +107,6 @@ def _validate(config: ExperimentConfig):
     return model, schedule, K, initial, report
 
 
-def _zeta_block(parzen_sums, cardinality, h, mu_x):
-    """zeta = |A|^{1/2} h^{1/2} (mu_hat - mu(x)) from per-replicate Parzen sums."""
-    mu_hat = parzen_sums / (cardinality * h)
-    return np.sqrt(cardinality) * np.sqrt(h) * (mu_hat - mu_x)
-
-
 def run_clt_experiment(config: ExperimentConfig, chunk_size: int = DEFAULT_CHUNK) -> CltRunResult:
     """Run the full CLT experiment for `config`.
 
@@ -151,9 +145,9 @@ def run_clt_experiment(config: ExperimentConfig, chunk_size: int = DEFAULT_CHUNK
             if record_prev and g == n - 1:
                 acc_prev = parzen_sum(K, x, states, h_prev)
 
-        zetas[start:stop] = _zeta_block(acc_main, card_main, h_n, mu_x)
+        zetas[start:stop] = zeta(acc_main / (card_main * h_n), mu_x, card_main, h_n)
         if record_prev:
-            zetas_prev[start:stop] = _zeta_block(acc_prev, card_prev, h_prev, mu_x)
+            zetas_prev[start:stop] = zeta(acc_prev / (card_prev * h_prev), mu_x, card_prev, h_prev)
 
     def as_samples(zs, scope, generation):
         return [

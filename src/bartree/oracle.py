@@ -26,15 +26,6 @@ from dataclasses import dataclass
 from .bar_model import BarModel, q_power_apply
 from .quadrature import QuadratureRule
 
-# re-exported here because the moment oracle is its natural home
-__all__ = [
-    "QuadratureRule",
-    "MomentOracleResult",
-    "mean_MGn",
-    "second_moment_MGn",
-    "cross_moment_MGn_MGm",
-]
-
 DEFAULT_CAP = 12
 
 
@@ -73,13 +64,13 @@ def _second_moment(f, n, x, model, q):
 
 
 def second_moment_MGn(
-    f, n: int, x: float, model: BarModel, quad: QuadratureRule, cap: int = DEFAULT_CAP
+    f, n: int, x: float, model: BarModel, quad: QuadratureRule
 ) -> MomentOracleResult:
     """E_x[M_{G_n}(f)^2] under the BAR factorization (see module docstring)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the second-moment cost cap {cap}")
+    if n > DEFAULT_CAP:
+        raise ValueError(f"n={n} exceeds the second-moment cost cap {DEFAULT_CAP}")
     return _with_error(lambda q: _second_moment(f, n, x, model, q), quad)
 
 
@@ -104,7 +95,6 @@ def cross_moment_MGn_MGm(
     x: float,
     model: BarModel,
     quad: QuadratureRule,
-    cap: int = DEFAULT_CAP,
 ) -> MomentOracleResult:
     """E_x[M_{G_n}(f) M_{G_m}(g)] for n >= m >= 0.
 
@@ -114,6 +104,6 @@ def cross_moment_MGn_MGm(
     """
     if m < 0 or n < m:
         raise ValueError("need n >= m >= 0")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the cross-moment cost cap {cap}")
+    if n > DEFAULT_CAP:
+        raise ValueError(f"n={n} exceeds the cross-moment cost cap {DEFAULT_CAP}")
     return _with_error(lambda q: _cross_moment(f, g, n, m, x, model, q), quad)

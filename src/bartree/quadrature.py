@@ -55,10 +55,17 @@ class QuadratureRule:
         Returns
         -------
         float or ndarray
+
+        Non-finite values of f on the rule's nodes (the operational
+        growth probe for super-Gaussian f) raise ValueError.
         """
         mean = np.asarray(mean, dtype=float)
         pts = mean[..., None] + (_SQRT_2 * std) * self.nodes
-        vals = f(pts)
+        vals = np.asarray(f(pts), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(
+                f"integrand growth: f is not finite over the quadrature range (std={std:g})"
+            )
         out = vals @ self.weights / _SQRT_PI
         return float(out) if mean.ndim == 0 else out
 

@@ -38,47 +38,39 @@ class SmoothingKernel:
     order: float
 
 
-def build_kernel(
-    name,
-    evaluate,
-    dim,
-    l1_norm,
-    l2_norm_sq,
-    sup_norm,
-    order,
-    quad: Optional[QuadratureRule] = None,
-    support_scale: float = 1.0,
-    tol: float = 1e-8,
-) -> SmoothingKernel:
+# Validation of a declared kernel: a 96-node rule reweighted against
+# N(0, 1), and the tolerance on each checked integral.
+_KERNEL_QUAD_ORDER = 96
+_KERNEL_TOL = 1e-8
+
+
+def build_kernel(name, evaluate, dim, l1_norm, l2_norm_sq, sup_norm, order) -> SmoothingKernel:
     """Construct a kernel after validating the declared attributes.
 
     Checks (1-d only): integral K = 1, vanishing moments k = 1..ceil(s)-1,
     finite s-th absolute moment, and the declared L1/L2 norms. The
-    validating quadrature reweights against a Gaussian of scale
-    `support_scale`, so the kernel must have sub-Gaussian-dominated
-    tails at that scale (true for the built-in Gaussian).
+    validating quadrature reweights against a standard Gaussian, so the
+    kernel must have sub-Gaussian-dominated tails (true for the
+    built-in Gaussian).
     """
     if dim != 1:
         raise ValueError("only d=1 kernels ship built-in")
     if order <= 0:
         raise ValueError("kernel order must be positive")
-    if quad is None:
-        quad = QuadratureRule.gauss_hermite(96)
-    total = quad.lebesgue(evaluate, scale=support_scale)
-    if abs(total - 1.0) > tol:
+    quad = QuadratureRule.gauss_hermite(_KERNEL_QUAD_ORDER)
+    total = quad.lebesgue(evaluate)
+    if abs(total - 1.0) > _KERNEL_TOL:
         raise ValueError(f"kernel does not integrate to 1 (got {total!r})")
     for k in range(1, math.ceil(order)):
-        mk = quad.lebesgue(lambda u, k=k: u**k * evaluate(u), scale=support_scale)
-        if abs(mk) > tol:
+        mk = quad.lebesgue(lambda u, k=k: u**k * evaluate(u))
+        if abs(mk) > _KERNEL_TOL:
             raise ValueError(f"moment {k} of the kernel is {mk!r}, expected 0")
-    ms = quad.lebesgue(
-        lambda u: np.abs(u) ** order * evaluate(u), scale=support_scale
-    )
+    ms = quad.lebesgue(lambda u: np.abs(u) ** order * evaluate(u))
     if not math.isfinite(ms):
         raise ValueError(f"absolute moment of order {order} is not finite")
-    l1 = quad.lebesgue(lambda u: np.abs(evaluate(u)), scale=support_scale)
-    l2 = quad.lebesgue(lambda u: evaluate(u) ** 2, scale=support_scale)
-    if abs(l1 - l1_norm) > tol or abs(l2 - l2_norm_sq) > tol:
+    l1 = quad.lebesgue(lambda u: np.abs(evaluate(u)))
+    l2 = quad.lebesgue(lambda u: evaluate(u) ** 2)
+    if abs(l1 - l1_norm) > _KERNEL_TOL or abs(l2 - l2_norm_sq) > _KERNEL_TOL:
         raise ValueError("declared kernel norms disagree with quadrature")
     return SmoothingKernel(
         name=name,

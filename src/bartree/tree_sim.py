@@ -196,14 +196,14 @@ class GenerationBuffer:
 class TransitionKernel:
     """Sampling procedure (parent state, node randomness) -> two children.
 
-    The scalar `sample` is the defining contract; `sample_block` is its
-    vectorized bit-identical twin, mapping (parent states, their stream
-    states) of equal shape to the arrays of first and second children.
-    The block engine runs on `sample_block` alone.
+    The block engine runs on `sample_block` alone: it maps (parent
+    states, their stream states) of equal shape to the arrays of first
+    and second children. The scalar `sample` draws one node's children
+    from its NodeStream; it is the executable spec that `sample_block`
+    must match bit for bit, and only tests call it.
     """
 
     sample: Callable[[float, NodeStream], tuple]
-    descriptor: str
     sample_block: Callable[[np.ndarray, np.ndarray], tuple]
 
 

@@ -10,7 +10,9 @@ always pass.
 The paper's limit law N(0, mu(x) ||K||_2^2) is a statement about
 n -> infinity; it says nothing about zeta_15. Where zeta_15 is close to
 that limit (criterion 1 at a=0.5, criterion 2), the battery is gated
-against the limit law. Where it is not (criterion 1 at a=0.7, the
+against the limit law; criterion 2's admissible battery also reports
+its count against the exact n=15 law, since its variance ratio (1.23)
+barely decays with n. Where it is not (criterion 1 at a=0.7, the
 whole-tree scope of criterion 3, the cross-generation correlation of
 criterion 7), the battery is gated against the exact n=15 law of zeta_n
 from the closed form in scripts/exact_zeta_variance.py, and a second
@@ -26,6 +28,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from bartree.bar_model import (
     BarModel,
@@ -168,19 +171,20 @@ def _assert_strictly_shrinking(values, what, label):
 # -- criterion 1: sub-critical CLT ---------------------------------------------
 
 
-def test_criterion1_subcritical_clt_a05(runs_a05_gen):
+def test_criterion1_subcritical_clt_a05(runs_a05_gen, exact_zeta):
     slowest = max(r.wall_time_seconds for r in runs_a05_gen)
     assert slowest < 120.0, (
         f"a 500-replicate run took {slowest:.1f}s; the budget is 2 minutes each"
     )
+    var_n, var_inf, _, _ = _exact_law(exact_zeta, 0.5, 0.201, N)
     passes = sum(r.ks_distance < KS_CRIT for r in runs_a05_gen)
     assert passes >= NEED, (
         f"a=0.5: KS against N(0, {runs_a05_gen[0].theoretical.variance:.6f}) was "
-        f"below {KS_CRIT:.4f} in only {passes}/20 seeds (need >= 18). "
+        f"below {KS_CRIT:.4f} in only {passes}/20 seeds (need >= {NEED}). "
         f"Per-seed KS: {_ks_list(runs_a05_gen)}. This case has essentially no "
-        "finite-n handicap: the exact variance of zeta_15 is 0.05022, ratio "
-        "0.971 of the limit (scripts/exact_zeta_variance.py), so a miss here "
-        "points at the sampler or estimator, not at n=15."
+        f"finite-n handicap: the exact variance of zeta_{N} is {var_n:.5f}, ratio "
+        f"{var_n / var_inf:.3f} of the limit (scripts/exact_zeta_variance.py), so "
+        f"a miss here points at the sampler or estimator, not at n={N}."
     )
 
 
@@ -195,21 +199,40 @@ def test_criterion1_subcritical_clt_a07(runs_a07_gen, exact_zeta):
 # -- criterion 2: super-critical pass/fail contrast ------------------------------
 
 
-def test_criterion2_admissible_supercritical(runs_a09_g696):
+def _population_ks(mean, var, var_inf):
+    """sup_t |P(N(mean, var) <= t) - P(N(0, var_inf) <= t)|, on a fine grid."""
+    t = np.linspace(-12.0, 12.0, 48001) * math.sqrt(max(var, var_inf))
+    return float(np.max(np.abs(ndtr((t - mean) / math.sqrt(var)) - ndtr(t / math.sqrt(var_inf)))))
+
+
+def test_criterion2_admissible_supercritical(runs_a09_g696, exact_zeta):
     assert all(r.admissibility.admissible for r in runs_a09_g696)
+    var_n, var_inf, mean_n, _ = _exact_law(exact_zeta, 0.9, 0.696, N)
+    var_far, _, _, _ = _exact_law(exact_zeta, 0.9, 0.696, LIMIT_NS[-1])
+    exact_ks = [
+        ks_distance(np.array([s.zeta for s in r.samples]) - mean_n, var_n)
+        for r in runs_a09_g696
+    ]
+    exact_passes = sum(d < KS_CRIT for d in exact_ks)
     passes = sum(r.ks_distance < KS_CRIT for r in runs_a09_g696)
     assert passes >= NEED, (
-        f"a=0.9, gamma=0.696: KS below {KS_CRIT:.4f} in only {passes}/20 seeds "
-        f"(need >= 18). Per-seed KS: {_ks_list(runs_a09_g696)}. Exact finite-n "
-        "moments (scripts/exact_zeta_variance.py): Var(zeta_15) = 0.05149 = "
-        "1.232x the limit 0.04178; the implied population KS offset is 0.025 "
-        "of the 0.0728 budget, leaving the per-seed pass probability high but "
-        "not 1. This criterion sits on the edge at n=15 and is expected to "
-        "clear 18/20 only in favorable seed draws."
+        f"a=0.9, gamma=0.696: KS against the limit law N(0, {var_inf:.5f}) was "
+        f"below {KS_CRIT:.4f} in only {passes}/20 seeds (need >= {NEED}); against "
+        f"the exact n={N} law N({mean_n:+.4f}, {var_n:.5f}) it was {exact_passes}/20. "
+        f"Per-seed KS against the limit law: {_ks_list(runs_a09_g696)}. Exact "
+        f"finite-n moments (scripts/exact_zeta_variance.py): Var(zeta_{N}) = "
+        f"{var_n:.5f} = {var_n / var_inf:.3f}x the limit {var_inf:.5f}; the implied "
+        f"population KS offset is {_population_ks(mean_n, var_n, var_inf):.3f} of the "
+        f"{KS_CRIT:.4f} budget, leaving the per-seed pass probability high but not "
+        "1. gamma=0.696 sits just above the super-critical bound 1 + log2(0.81), "
+        "so the excess variance barely decays: the ratio is still "
+        f"{var_far / var_inf:.3f} at n={LIMIT_NS[-1]}. If the exact-law count is "
+        "also low, the miss points at the sampler or the estimator."
     )
 
 
-def test_criterion2_supercritical_contrast(runs_a09_g201):
+def test_criterion2_supercritical_contrast(runs_a09_g201, exact_zeta):
+    var_n, var_inf, _, _ = _exact_law(exact_zeta, 0.9, 0.201, N)
     exceed = sum(r.ks_distance > KS_CRIT for r in runs_a09_g201)
     inflated = sum(
         r.sample_variance / r.theoretical.variance >= 1.5 for r in runs_a09_g201
@@ -217,20 +240,18 @@ def test_criterion2_supercritical_contrast(runs_a09_g201):
     assert all(not r.admissibility.admissible for r in runs_a09_g201)
     assert exceed >= NEED, (
         f"a=0.9, gamma=0.201 (inadmissible bandwidth): KS exceeded {KS_CRIT:.4f} "
-        f"in only {exceed}/20 seeds (need >= 18). Per-seed KS: "
-        f"{_ks_list(runs_a09_g201)}. The exact variance of zeta_15 here is "
-        "1.698 = 40.6x the limit; the gate should reject every seed by a wide "
-        "margin, so a pass-through indicates the estimator is not actually "
-        "being fed the inadmissible bandwidth."
+        f"in only {exceed}/20 seeds (need >= {NEED}). Per-seed KS: "
+        f"{_ks_list(runs_a09_g201)}. The exact variance of zeta_{N} here is "
+        f"{var_n:.3f} = {var_n / var_inf:.1f}x the limit; the gate should reject "
+        "every seed by a wide margin, so a pass-through indicates the estimator "
+        "is not actually being fed the inadmissible bandwidth."
     )
     assert inflated >= NEED, (
         f"a=0.9, gamma=0.201: sample variance exceeded 1.5x the theoretical "
-        f"value in only {inflated}/20 seeds (need >= 18); ratios: "
-        + "["
-        + ", ".join(
-            f"{r.sample_variance / r.theoretical.variance:.1f}" for r in runs_a09_g201
-        )
-        + "]. The exact finite-n ratio is 40.6 (scripts/exact_zeta_variance.py)."
+        f"value in only {inflated}/20 seeds (need >= {NEED}); ratios: "
+        + _fmt([r.sample_variance / r.theoretical.variance for r in runs_a09_g201], ".1f")
+        + f". The exact finite-n ratio is {var_n / var_inf:.1f} "
+        "(scripts/exact_zeta_variance.py)."
     )
 
 

@@ -11,7 +11,6 @@ from bartree.bar_model import (
     bar_kernel,
     bar_transition,
     check_assumptions,
-    h_function,
     invariant_density,
     q_power_apply,
     stationary_initial,
@@ -22,7 +21,6 @@ from bartree.tree_sim import NodeAddress, NodeStream, ReplicateSeed, node_random
 MU_0_A05 = 0.345494149471335479
 MU_M13_A05 = 0.183318615922845416
 MU_0_A0 = 0.398942280401432678
-HFUN_0_A05 = 1.016265496309229473
 C0_A05 = 0.744436429872768157
 
 
@@ -44,7 +42,7 @@ def test_degenerate_sigma_zero():
     with pytest.raises(ValueError):
         invariant_density(0.0, m)
     with pytest.raises(ValueError):
-        h_function(0.0, m)
+        check_assumptions(m)
 
 
 def test_gaussian_initial_validation():
@@ -107,7 +105,6 @@ def test_kernel_block_matches_scalar():
     for i in range(1 << g):
         s0, s1 = bar_kernel(model).sample(parents[i], node_randomness(seed, NodeAddress(g, i)))
         assert (b0[0, i], b1[0, i]) == (s0, s1)
-    assert "BAR" in bar_kernel(model).descriptor
 
 
 # -- closed forms -------------------------------------------------------------
@@ -119,15 +116,6 @@ def test_invariant_density_values():
     arr = invariant_density(np.array([-1.3, 0.0]), BarModel(0.5, 1.0))
     assert arr.shape == (2,)
     assert math.isclose(arr[0], MU_M13_A05, rel_tol=1e-14)
-
-
-def test_h_function_values():
-    m = BarModel(0.0, 1.0)
-    x = np.linspace(-4, 4, 9)
-    assert np.all(h_function(x, m) == 1.0)
-    assert math.isclose(h_function(0.0, BarModel(0.5, 1.0)), HFUN_0_A05, rel_tol=1e-14)
-    m2 = BarModel(0.5, 1.0)
-    assert np.allclose(h_function(x, m2), h_function(-x, m2), rtol=0, atol=0)
 
 
 def test_q_power_apply_linear(quad64):

@@ -249,3 +249,24 @@ def test_unknown_command_exits():
 def test_missing_required_flag_exits():
     with pytest.raises(SystemExit):
         main(["estimate", "--a", "0.5", "--n", "4", "--gamma", "0.2"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["moments", "--f", "id", "--n", "2", "--m", "3", "--x", "1.0", "--a", "0.5"],
+         "generations must lie in 0..n"),
+        (["estimate", "--a", "0.5", "--n", "4", "--gamma", "0.2", "--x=abc"],
+         "could not convert string to float"),
+        (["clt", "--a", "0.5", "--n", "70", "--gamma", "0.201", "--x=-1.3", "--n0", "3"],
+         "tree depth n=70 out of range"),
+        (["simulate", "--a", "0.5", "--n", "-1"], "n must be non-negative"),
+    ],
+    ids=["moments_m_above_n", "estimate_bad_x", "clt_n_too_deep", "simulate_negative_n"],
+)
+def test_bad_value_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("bartree: error: ") and message in last

@@ -127,15 +127,37 @@ def test_default_table_is_unchanged(exact_zeta, capsys):
     assert capsys.readouterr().out == DEFAULT_TABLE
 
 
-@pytest.mark.parametrize("scope", ["gen", "tree"])
-def test_cancelled_variance_is_refused(exact_zeta, capsys, scope):
-    # at n=200, E[M^2] - E[M]^2 leaves var_n = -24 (gen) or -48 (tree)
-    argv = ["--a", "0.9", "--gamma", "0.696", "--n", "200", "--scope", scope]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # E[M^2] - E[M]^2 leaves var_n = -24 (gen) or -48 (tree)
+        pytest.param(["--a", "0.9", "--gamma", "0.696", "--n", "200"], id="gen"),
+        pytest.param(
+            ["--a", "0.9", "--gamma", "0.696", "--n", "200", "--scope", "tree"], id="tree"
+        ),
+        # var_{n-1} < 0, so sqrt(var * var_prev) has no real value
+        pytest.param(["--a", "0.5", "--n", "70"], id="a05_n70"),
+        # var_n = 0, so the correlation would divide by zero
+        pytest.param(["--a", "0.7", "--n", "70"], id="a07_n70"),
+        # var_n = 256 > 0 is round-off too (ratio 4950, corr 1.000)
+        pytest.param(["--a", "0.5", "--n", "80"], id="a05_n80"),
+        # just past the validated range: var_n is still positive and plausible
+        pytest.param(["--a", "0.5", "--n", "41", "--scope", "tree"], id="tree_n41"),
+    ],
+)
+def test_cancelled_variance_is_refused(exact_zeta, capsys, argv):
     assert exact_zeta.main(argv) == 1
     out, err = capsys.readouterr()
     assert out.splitlines() == DEFAULT_TABLE.splitlines()[:1]  # the header, no row
     assert "E[M^2] - E[M]^2" in err
     assert "n=40" in err
+
+
+def test_validated_range_is_answered(exact_zeta):
+    # up to n=40, where the closed form was checked against 60-digit mpmath
+    for a, gamma, scope in exact_zeta.DEFAULT_CASES:
+        var, lim, _, _ = exact_zeta.analyze(a, 1.0, 40, gamma, X, scope)
+        assert var > lim / 2.0, (a, gamma, scope, var, lim)
 
 
 def test_script_imports_no_package_code(exact_zeta):

@@ -4,7 +4,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bartree import tree_sim
 from bartree.bar_model import (
     BarModel,
     bar_kernel,
@@ -12,30 +11,16 @@ from bartree.bar_model import (
     invariant_density,
     stationary_initial,
 )
-from bartree.fluctuations import (
-    FunctionSequenceVariant,
-    additive_statistic,
-    asymptotic_variance,
-    cross_generation_pairs,
-    finite_n_variance,
-    mu_f_means,
-    theoretical_limit,
-    zeta,
-)
+from bartree.fluctuations import cross_generation_pairs, theoretical_limit, zeta
 from bartree.harness import ExperimentConfig, run_clt_experiment
 from bartree.smoothing import BandwidthSchedule, bandwidth, density_estimate, gaussian_kernel
-from bartree.tree_sim import GENERATION_SCOPE, ReplicateSeed, collect_statistic, simulate_generations
+from bartree.tree_sim import ReplicateSeed, simulate_generations
 
 ZETA_EXAMPLE = 0.636681526720909929       # sqrt(2^15) * 2^{-3.015/2} * 0.01
 VAR_GEN_A05_X13 = 0.051713226787030620    # mu(-1.3) ||K||_2^2 at a=0.5
-VAR_SHIFT_A05_X13 = 0.103426453574061240  # twice the above
 VAR_A07_X13 = 0.052231321603521160
 VAR_A09_X13 = 0.041778799375095720
 VAR_A0_X0 = 0.112539539519638259
-
-
-def _variant(tag, x=-1.3, gamma=0.201):
-    return FunctionSequenceVariant(tag, x, gaussian_kernel(), BandwidthSchedule(gamma))
 
 
 def _simulate_tree(model, n, seed=0, rep=0):
@@ -53,25 +38,28 @@ def _simulate_tree(model, n, seed=0, rep=0):
 # -- zeta ---------------------------------------------------------------------
 
 def test_zeta_zero_when_estimate_is_exact():
-    assert zeta(0.2, 0.2, 100, 0.5, 1) == 0.0
+    assert zeta(0.2, 0.2, 100, 0.5) == 0.0
 
 
 def test_zeta_frozen_example():
-    got = zeta(0.19, 0.18, 2**15, 2.0 ** -3.015, 1)
+    got = zeta(0.19, 0.18, 2**15, 2.0 ** -3.015)
     assert math.isclose(got, ZETA_EXAMPLE, rel_tol=1e-12)
 
 
 def test_zeta_scaling():
-    base = zeta(0.19, 0.18, 1024, 0.25, 1)
-    assert math.isclose(zeta(0.20, 0.18, 1024, 0.25, 1), 2 * base, rel_tol=1e-12)
-    assert math.isclose(zeta(0.19, 0.18, 4096, 0.25, 1), 2 * base, rel_tol=1e-12)
+    base = zeta(0.19, 0.18, 1024, 0.25)
+    assert math.isclose(zeta(0.20, 0.18, 1024, 0.25), 2 * base, rel_tol=1e-12)
+    assert math.isclose(zeta(0.19, 0.18, 4096, 0.25), 2 * base, rel_tol=1e-12)
+    # an array of estimates gives the scalar value entry by entry
+    got = zeta(np.array([0.19, 0.20]), 0.18, 1024, 0.25)
+    np.testing.assert_array_equal(got, [base, zeta(0.20, 0.18, 1024, 0.25)])
 
 
 def test_zeta_validation():
     with pytest.raises(ValueError):
-        zeta(0.1, 0.1, 0, 0.5, 1)
+        zeta(0.1, 0.1, 0, 0.5)
     with pytest.raises(ValueError):
-        zeta(0.1, 0.1, 16, 0.0, 1)
+        zeta(0.1, 0.1, 16, 0.0)
 
 
 # -- the limit law ------------------------------------------------------------
@@ -97,138 +85,6 @@ def test_theoretical_limit_tracks_density_ratio():
     v1 = theoretical_limit(1.1, K, model).variance
     ratio = invariant_density(1.1, model) / invariant_density(0.0, model)
     assert math.isclose(v1 / v0, ratio, rel_tol=1e-14)
-
-
-# -- variants -----------------------------------------------------------------
-
-def test_bandwidth_at_semantics():
-    sched = BandwidthSchedule(0.201)
-    shift = _variant("shift")
-    ident = _variant("id")
-    gen = _variant("gen_only")
-    n = 7
-    for ell in range(n + 1):
-        assert shift.bandwidth_at(ell, n) == bandwidth(n - ell, sched)
-        assert ident.bandwidth_at(ell, n) == bandwidth(n, sched)
-    assert gen.bandwidth_at(0, n) == bandwidth(n, sched)
-    for ell in range(1, n + 1):
-        assert gen.bandwidth_at(ell, n) is None
-
-
-def test_bandwidth_at_range_check():
-    v = _variant("shift")
-    with pytest.raises(ValueError):
-        v.bandwidth_at(-1, 5)
-    with pytest.raises(ValueError):
-        v.bandwidth_at(6, 5)
-
-
-def test_invalid_tag_rejected():
-    with pytest.raises(ValueError, match="tag"):
-        FunctionSequenceVariant("bogus", 0.0, gaussian_kernel(), BandwidthSchedule(0.3))
-
-
-def test_f_eval_matches_direct_formula():
-    v = _variant("shift", x=0.4)
-    y = np.linspace(-2, 2, 9)
-    n, ell = 6, 2
-    h = v.bandwidth_at(ell, n)
-    K = gaussian_kernel()
-    expected = h ** -0.5 * K.evaluate((0.4 - y) / h)
-    np.testing.assert_allclose(v.f_eval(ell, n, y), expected, rtol=1e-15)
-
-
-def test_f_eval_vanishing_levels_are_zero():
-    v = _variant("gen_only")
-    y = np.linspace(-2, 2, 9)
-    assert np.all(v.f_eval(3, 6, y) == 0.0)
-
-
-def test_mu_f_means_structure(quad64, model_half):
-    n = 6
-    means_id = mu_f_means(_variant("id"), n, model_half, quad64)
-    means_shift = mu_f_means(_variant("shift"), n, model_half, quad64)
-    means_gen = mu_f_means(_variant("gen_only"), n, model_half, quad64)
-    assert len(means_id) == len(means_shift) == len(means_gen) == n + 1
-    # id: every level sees h_n, so all centering constants agree
-    np.testing.assert_allclose(means_id, means_id[0], rtol=1e-14)
-    assert math.isclose(means_shift[0], means_id[0], rel_tol=1e-14)
-    # gen_only: only level 0 is alive
-    assert means_gen[0] == means_id[0]
-    assert np.all(np.asarray(means_gen[1:]) == 0.0)
-    # each mean is sqrt(h) * (K_h * mu)(x) ~ sqrt(h) mu(x)
-    h0 = bandwidth(n, BandwidthSchedule(0.201))
-    approx = math.sqrt(h0) * invariant_density(-1.3, model_half)
-    assert abs(means_id[0] - approx) < 0.02 * approx
-
-
-# -- the additive statistic on simulated trees --------------------------------
-
-def test_gen_only_reduces_to_last_generation(quad64, model_half):
-    n = 8
-    gens = _simulate_tree(model_half, n, seed=5)
-    v = _variant("gen_only")
-    means = mu_f_means(v, n, model_half, quad64)
-    got = additive_statistic(gens, v, n, means)
-    f0 = lambda y: v.f_eval(0, n, y)
-    m_gn = collect_statistic(gens, f0, GENERATION_SCOPE, n)
-    want = 2.0 ** (-n / 2.0) * (m_gn - 2**n * means[0])
-    assert math.isclose(got, want, rel_tol=1e-12)
-
-
-def test_id_variant_is_a_tree_average(quad64, model_half):
-    n = 8
-    gens = _simulate_tree(model_half, n, seed=6)
-    v = _variant("id")
-    means = mu_f_means(v, n, model_half, quad64)
-    got = additive_statistic(gens, v, n, means)
-    f = lambda y: v.f_eval(0, n, y)
-    m_tree = collect_statistic(gens, f, tree_sim.TREE_SCOPE, n)
-    card = 2 ** (n + 1) - 1
-    want = 2.0 ** (-n / 2.0) * (m_tree - card * means[0])
-    assert math.isclose(got, want, rel_tol=1e-12)
-    # equivalently sqrt(2 - 2^{-n}) times the normalized tree average
-    alt = math.sqrt(2.0 - 2.0 ** -n) * (m_tree - card * means[0]) / math.sqrt(card)
-    assert math.isclose(got, alt, rel_tol=1e-12)
-
-
-def test_additive_statistic_rejects_broken_streams(quad64, model_half):
-    n = 5
-    gens = _simulate_tree(model_half, n, seed=7)
-    v = _variant("shift")
-    means = mu_f_means(v, n, model_half, quad64)
-    with pytest.raises(ValueError):
-        additive_statistic(gens[1:], v, n, means)  # missing the root
-    with pytest.raises(ValueError):
-        additive_statistic(gens[:n], v, n, means)  # missing generation n
-
-
-# -- variances ----------------------------------------------------------------
-
-def test_asymptotic_variance_values(quad64, model_half):
-    v_gen = asymptotic_variance(_variant("gen_only"), model_half, quad64)
-    v_shift = asymptotic_variance(_variant("shift"), model_half, quad64)
-    v_id = asymptotic_variance(_variant("id"), model_half, quad64)
-    assert math.isclose(v_gen, VAR_GEN_A05_X13, rel_tol=1e-13)
-    assert math.isclose(v_shift, VAR_SHIFT_A05_X13, rel_tol=1e-13)
-    assert v_id == v_shift
-    assert v_shift == 2.0 * v_gen
-
-
-def test_finite_n_variance_approach(quad64, model_half):
-    v = _variant("shift")
-    sigmas = {n: finite_n_variance(v, n, model_half, quad64) for n in (1, 2, 3, 4, 5, 6, 9, 25)}
-    for n in (1, 2, 3, 4, 5):
-        assert sigmas[n] < sigmas[n + 1]
-    # the approach is not monotone: the partial sum passes the limit near
-    # n = 9 before settling back down onto it
-    assert sigmas[9] > VAR_SHIFT_A05_X13
-    assert abs(sigmas[25] - VAR_SHIFT_A05_X13) < 1e-4
-
-
-def test_finite_n_variance_gen_only(quad64, model_half):
-    got = finite_n_variance(_variant("gen_only"), 20, model_half, quad64)
-    assert abs(got - VAR_GEN_A05_X13) < 5e-3
 
 
 # -- cross-generation pairs ---------------------------------------------------
@@ -275,7 +131,7 @@ def test_zeta_equals_generation_sum_form(model_half):
     states = gens[-1].states
     mu_hat = density_estimate(states, x, h, K)
     mu_x = invariant_density(x, model_half)
-    z1 = zeta(mu_hat, mu_x, 2**n, h, 1)
+    z1 = zeta(mu_hat, mu_x, 2**n, h)
     z2 = 2.0 ** (-n / 2.0) * (
         h ** -0.5 * float(np.sum(K.evaluate((x - states) / h))) - 2**n * h**0.5 * mu_x
     )

@@ -5,12 +5,8 @@ import pytest
 
 from bartree.bar_model import BarModel
 from bartree.harness import monte_carlo_generation_sums
-from bartree.oracle import (
-    QuadratureRule,
-    cross_moment_MGn_MGm,
-    mean_MGn,
-    second_moment_MGn,
-)
+from bartree.oracle import DEFAULT_CAP, cross_moment_MGn_MGm, mean_MGn, second_moment_MGn
+from bartree.quadrature import QuadratureRule
 
 IDENT = lambda y: y
 SQUARE = lambda y: y**2
@@ -107,8 +103,9 @@ def test_cost_caps(quad64, model_half):
         second_moment_MGn(IDENT, 13, 0.0, model_half, quad64)
     with pytest.raises(ValueError, match="cap"):
         cross_moment_MGn_MGm(IDENT, IDENT, 13, 1, 0.0, model_half, quad64)
-    got = second_moment_MGn(ONE, 13, 0.0, model_half, quad64, cap=13)
-    assert math.isclose(got.value, 4.0**13, rel_tol=1e-10)
+    # the cap itself is admitted
+    got = second_moment_MGn(ONE, DEFAULT_CAP, 0.0, model_half, quad64)
+    assert math.isclose(got.value, 4.0**DEFAULT_CAP, rel_tol=1e-10)
 
 
 def test_order_convergence(model_half):

@@ -33,7 +33,6 @@ def constant_tree_kernel():
     # children copy the parent; useful as a degenerate oracle
     return TransitionKernel(
         sample=lambda x, stream: (x, x),
-        descriptor="copy",
         sample_block=lambda parents, streams: (parents, parents),
     )
 
