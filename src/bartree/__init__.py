@@ -13,10 +13,8 @@ from .tree_sim import (
     NodeAddress,
     GenerationBuffer,
     ReplicateSeed,
-    TransitionKernel,
     node_randomness,
     simulate_generations,
-    collect_statistic,
 )
 from .bar_model import (
     BarModel,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .quadrature import QuadratureRule
 from . import tree_sim
-from .tree_sim import NodeStream, TransitionKernel
+from .tree_sim import NodeStream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -82,33 +82,22 @@ def bar_transition(x: float, randomness: NodeStream, model: BarModel):
     return ax + model.sigma * e0, ax + model.sigma * e1
 
 
-def bar_kernel(model: BarModel) -> TransitionKernel:
-    """The BAR TransitionKernel, with its vectorized block twin."""
-
-    def sample(x, stream):
-        return bar_transition(x, stream, model)
+def bar_kernel(model: BarModel):
+    """The BAR step on a block: (parent states, their stream states) of
+    equal shape -> (first children, second children). It matches
+    bar_transition node by node, bit for bit."""
 
     def sample_block(parent_states, stream_states):
         e0, e1 = tree_sim.stream_normal_pairs(stream_states, 0)
         ax = model.a * parent_states
         return ax + model.sigma * e0, ax + model.sigma * e1
 
-    return TransitionKernel(sample=sample, sample_block=sample_block)
+    return sample_block
 
 
 def stationary_initial(model: BarModel) -> GaussianInitial:
     """The invariant law N(0, sigma_a^2) as an initial distribution."""
     return GaussianInitial(m0=0.0, rho0=model.sigma_a)
-
-
-def gaussian_initial_sampler(initial: GaussianInitial):
-    """Sampler drawing X_root = m0 + rho0 * G from the reserved stream."""
-
-    def sampler(stream: NodeStream) -> float:
-        z, _ = stream.normal_pair(0)
-        return initial.m0 + initial.rho0 * z
-
-    return sampler
 
 
 def invariant_density(x, model: BarModel):

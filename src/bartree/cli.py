@@ -13,7 +13,6 @@ from .bar_model import (
     GaussianInitial,
     bar_kernel,
     check_assumptions,
-    gaussian_initial_sampler,
     stationary_initial,
 )
 from .harness import (
@@ -72,13 +71,12 @@ def cmd_check(args) -> int:
 
 
 def _single_tree(args):
-    """Generations 0..n of replicate 0 of `--seed`, stationary root."""
+    """Generations 0..n of replicate 0 of `--seed`, stationary root; the
+    depth is checked before anything is written."""
     model = BarModel(args.a, args.sigma)
+    initial = stationary_initial(model)
     return simulate_generations(
-        bar_kernel(model),
-        gaussian_initial_sampler(stationary_initial(model)),
-        args.n,
-        ReplicateSeed(args.seed, 0),
+        bar_kernel(model), initial.m0, initial.rho0, args.n, ReplicateSeed(args.seed, 0)
     )
 
 

@@ -87,13 +87,12 @@ def _resolve_initial(config: ExperimentConfig, model: BarModel) -> GaussianIniti
 def _validate(config: ExperimentConfig):
     model = BarModel(config.a, config.sigma)
     model._require_noise("CLT experiment")
-    schedule = BandwidthSchedule(config.gamma, dim=1)
+    schedule = BandwidthSchedule(config.gamma)
     if config.kernel_name not in KERNELS:
         raise ValueError(f"unknown kernel {config.kernel_name!r}")
     K = KERNELS[config.kernel_name]()
     tree_sim.scope_generations(config.scope, config.n)  # rejects an unknown scope
-    if config.n < 0 or config.n > tree_sim.MAX_GENERATION:
-        raise ValueError(f"tree depth n={config.n} out of range")
+    tree_sim.check_depth(config.n)
     if config.n0 < 1:
         raise ValueError("n0 must be >= 1")
     if config.record_previous_generation and config.n < 1:
@@ -107,6 +106,32 @@ def _validate(config: ExperimentConfig):
     return model, schedule, K, initial, report
 
 
+def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> np.ndarray:
+    """Per-replicate scope sums over trees 0..reps-1 of `master_seed`.
+
+    Each term is (generations, reduce): row t of the (len(terms), reps)
+    result is, per replicate, the sum over terms[t]'s generations of
+    reduce(states), a reduction of each row of a (replicates, 2^g)
+    generation block. Replicates run through the engine `chunk_size` at
+    a time, with root law `initial`; the chunking never changes a bit.
+    """
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    sample_block = bar_kernel(model)
+    # -0.0 is the exact additive identity: a one-generation term is its
+    # reduction bit for bit
+    out = np.full((len(terms), reps), -0.0)
+    for start in range(0, reps, chunk_size):
+        stop = min(start + chunk_size, reps)
+        keys = tree_sim.replicate_keys(master_seed, range(start, stop))
+        blocks = tree_sim.generation_blocks(sample_block, keys, initial.m0, initial.rho0, n)
+        for g, states in blocks:
+            for row, (generations, reduce) in zip(out, terms):
+                if g in generations:
+                    row[start:stop] += reduce(states)
+    return out
+
+
 def run_clt_experiment(config: ExperimentConfig, chunk_size: int = DEFAULT_CHUNK) -> CltRunResult:
     """Run the full CLT experiment for `config`.
 
@@ -115,39 +140,25 @@ def run_clt_experiment(config: ExperimentConfig, chunk_size: int = DEFAULT_CHUNK
     """
     t0 = time.perf_counter()
     model, schedule, K, initial, report = _validate(config)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
 
     n, x = config.n, config.x
     h_n = bandwidth(n, schedule)
     mu_x = invariant_density(x, model)
     limit = theoretical_limit(x, K, model)
-    record_prev = config.record_previous_generation
-    h_prev = bandwidth(n - 1, schedule) if record_prev else None
-    sample_block = bar_kernel(model).sample_block
-    members = tree_sim.scope_generations(config.scope, n)
     card_main = tree_sim.scope_size(config.scope, n)
-    card_prev = tree_sim.scope_size(GENERATION_SCOPE, n - 1) if record_prev else None
-
-    zetas = np.empty(config.n0)
-    zetas_prev = np.empty(config.n0) if record_prev else None
-
-    for start in range(0, config.n0, chunk_size):
-        stop = min(start + chunk_size, config.n0)
-        keys = tree_sim.replicate_keys(config.master_seed, range(start, stop))
-        z0, _ = tree_sim.stream_normal_pairs(tree_sim.initial_states(keys), 0)
-        roots = initial.m0 + initial.rho0 * z0
-
-        acc_main = np.zeros(stop - start)
-        for g, states in tree_sim.generation_blocks(sample_block, keys, roots, n):
-            if g in members:
-                acc_main += parzen_sum(K, x, states, h_n)
-            if record_prev and g == n - 1:
-                acc_prev = parzen_sum(K, x, states, h_prev)
-
-        zetas[start:stop] = zeta(acc_main / (card_main * h_n), mu_x, card_main, h_n)
-        if record_prev:
-            zetas_prev[start:stop] = zeta(acc_prev / (card_prev * h_prev), mu_x, card_prev, h_prev)
+    terms = [(tree_sim.scope_generations(config.scope, n), lambda s: parzen_sum(K, x, s, h_n))]
+    record_prev = config.record_previous_generation
+    if record_prev:
+        h_prev = bandwidth(n - 1, schedule)
+        card_prev = tree_sim.scope_size(GENERATION_SCOPE, n - 1)
+        terms.append((
+            tree_sim.scope_generations(GENERATION_SCOPE, n - 1),
+            lambda s: parzen_sum(K, x, s, h_prev),
+        ))
+    sums = _replicate_sums(model, initial, n, config.n0, config.master_seed, chunk_size, terms)
+    zetas = zeta(sums[0] / (card_main * h_n), mu_x, card_main, h_n)
+    if record_prev:
+        zetas_prev = zeta(sums[1] / (card_prev * h_prev), mu_x, card_prev, h_prev)
 
     def as_samples(zs, scope, generation):
         return [
@@ -185,15 +196,11 @@ def run_clt_experiment(config: ExperimentConfig, chunk_size: int = DEFAULT_CHUNK
 
 @dataclass(frozen=True)
 class Ecdf:
-    """Right-continuous empirical CDF: values sorted, evaluate(t) = #{<= t}/n."""
+    """Right-continuous empirical CDF: the sorted values; it is k/n at
+    the k-th of them."""
 
     values: np.ndarray
     n: int
-
-    def evaluate(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.searchsorted(self.values, t, side="right") / self.n
-        return float(out) if t.ndim == 0 else out
 
 
 def ecdf(samples) -> Ecdf:
@@ -295,16 +302,12 @@ def monte_carlo_generation_sums(
     if min(f_by_gen) < 0 or max(f_by_gen) > n:
         raise ValueError("generations must lie in 0..n")
     model._require_noise("moment Monte Carlo")
-    sample_block = bar_kernel(model).sample_block
-    out = {g: np.empty(reps) for g in f_by_gen}
-    for start in range(0, reps, chunk_size):
-        stop = min(start + chunk_size, reps)
-        keys = tree_sim.replicate_keys(master_seed, range(start, stop))
-        roots = np.full(stop - start, float(x))
-        for g, states in tree_sim.generation_blocks(sample_block, keys, roots, n):
-            if g in f_by_gen:
-                out[g][start:stop] = f_by_gen[g](states).sum(axis=1)
-    return out
+    generations = list(f_by_gen)
+    terms = [(range(g, g + 1), lambda s, f=f_by_gen[g]: f(s).sum(axis=1)) for g in generations]
+    sums = _replicate_sums(
+        model, GaussianInitial(float(x), 0.0), n, reps, master_seed, chunk_size, terms
+    )
+    return dict(zip(generations, sums))
 
 
 # -- exports -----------------------------------------------------------------

@@ -7,7 +7,7 @@ The estimator is the classical Parzen average
 algebraically identical to the double-h^{-d/2} convention in which the
 kernel K_h(y) = h^{-d/2} K(y/h) carries one factor and the estimator
 the other; the two factors are combined here in one pass. Bandwidths
-follow h_n = 2^{-n*gamma}.
+follow h_n = 2^{-n*gamma}. The states are real, so d = 1 throughout.
 """
 
 import math
@@ -31,7 +31,6 @@ class SmoothingKernel:
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    dim: int
     l1_norm: float
     l2_norm_sq: float
     sup_norm: float
@@ -44,17 +43,15 @@ _KERNEL_QUAD_ORDER = 96
 _KERNEL_TOL = 1e-8
 
 
-def build_kernel(name, evaluate, dim, l1_norm, l2_norm_sq, sup_norm, order) -> SmoothingKernel:
+def build_kernel(name, evaluate, l1_norm, l2_norm_sq, sup_norm, order) -> SmoothingKernel:
     """Construct a kernel after validating the declared attributes.
 
-    Checks (1-d only): integral K = 1, vanishing moments k = 1..ceil(s)-1,
+    Checks: integral K = 1, vanishing moments k = 1..ceil(s)-1,
     finite s-th absolute moment, and the declared L1/L2 norms. The
     validating quadrature reweights against a standard Gaussian, so the
     kernel must have sub-Gaussian-dominated tails (true for the
     built-in Gaussian).
     """
-    if dim != 1:
-        raise ValueError("only d=1 kernels ship built-in")
     if order <= 0:
         raise ValueError("kernel order must be positive")
     quad = QuadratureRule.gauss_hermite(_KERNEL_QUAD_ORDER)
@@ -75,7 +72,6 @@ def build_kernel(name, evaluate, dim, l1_norm, l2_norm_sq, sup_norm, order) -> S
     return SmoothingKernel(
         name=name,
         evaluate=evaluate,
-        dim=dim,
         l1_norm=l1_norm,
         l2_norm_sq=l2_norm_sq,
         sup_norm=sup_norm,
@@ -89,7 +85,6 @@ def gaussian_kernel() -> SmoothingKernel:
         name="gaussian",
         evaluate=lambda u: np.exp(-0.5 * np.asarray(u, dtype=float) ** 2)
         / math.sqrt(2.0 * math.pi),
-        dim=1,
         l1_norm=1.0,
         l2_norm_sq=1.0 / (2.0 * math.sqrt(math.pi)),
         sup_norm=1.0 / math.sqrt(2.0 * math.pi),
@@ -99,18 +94,13 @@ def gaussian_kernel() -> SmoothingKernel:
 
 @dataclass(frozen=True)
 class BandwidthSchedule:
-    """h_n = 2^{-n*gamma}; requires 0 < gamma < 1/d."""
+    """h_n = 2^{-n*gamma}; requires 0 < gamma < 1/d = 1."""
 
     gamma: float
-    dim: int = 1
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not 0.0 < self.gamma < 1.0 / self.dim:
-            raise ValueError(
-                f"gamma must lie in (0, 1/d) = (0, {1.0 / self.dim}), got {self.gamma}"
-            )
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1/d) = (0, 1.0), got {self.gamma}")
 
 
 def bandwidth(n: int, schedule: BandwidthSchedule) -> float:
@@ -134,23 +124,23 @@ def admissible_bandwidth(
 ) -> RegimeReport:
     """Check the bandwidth exponent against all regime conditions.
 
-    gamma must lie in (0, 1/d); the bias condition is gamma > 1/(2s+d);
-    in the super-critical regime (2 alpha^2 > 1) the ergodicity/variance
-    trade-off additionally requires 2^{d*gamma} > 2 alpha^2, i.e.
-    gamma > (1 + log2(alpha^2)) / d, reported as the lower bound.
+    With d = 1: gamma must lie in (0, 1/d); the bias condition is
+    gamma > 1/(2s+d); in the super-critical regime (2 alpha^2 > 1) the
+    ergodicity/variance trade-off additionally requires
+    2^{d*gamma} > 2 alpha^2, i.e. gamma > (1 + log2(alpha^2)) / d,
+    reported as the lower bound.
     """
     if s <= 0:
         raise ValueError("kernel order s must be positive")
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    d = schedule.dim
     g = schedule.gamma
-    in_range = 0.0 < g < 1.0 / d
-    bias_ok = g > 1.0 / (2.0 * s + d)
+    in_range = 0.0 < g < 1.0
+    bias_ok = g > 1.0 / (2.0 * s + 1.0)
     two_alpha_sq = 2.0 * alpha * alpha
     if two_alpha_sq > 1.0:
-        sc_ok = 2.0 ** (d * g) > two_alpha_sq
-        lb = (1.0 + math.log(alpha * alpha) / math.log(2.0)) / d
+        sc_ok = 2.0**g > two_alpha_sq
+        lb = 1.0 + math.log(alpha * alpha) / math.log(2.0)
     else:
         sc_ok = True  # vacuous at or below criticality
         lb = None
@@ -189,7 +179,7 @@ def density_estimate(sample, x_points, h: float, K: SmoothingKernel):
     for start in range(0, sample.size, chunk):
         block = sample[start : start + chunk]
         acc += parzen_sum(K, xq1[:, None], block[None, :], h)
-    out = acc / (sample.size * h**K.dim)
+    out = acc / (sample.size * h)
     return float(out[0]) if scalar else out
 
 

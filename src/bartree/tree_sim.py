@@ -192,39 +192,36 @@ class GenerationBuffer:
     states: np.ndarray
 
 
-@dataclass(frozen=True)
-class TransitionKernel:
-    """Sampling procedure (parent state, node randomness) -> two children.
-
-    The block engine runs on `sample_block` alone: it maps (parent
-    states, their stream states) of equal shape to the arrays of first
-    and second children. The scalar `sample` draws one node's children
-    from its NodeStream; it is the executable spec that `sample_block`
-    must match bit for bit, and only tests call it.
-    """
-
-    sample: Callable[[float, NodeStream], tuple]
-    sample_block: Callable[[np.ndarray, np.ndarray], tuple]
+def check_depth(n: int) -> None:
+    """Reject a tree depth outside 0..MAX_GENERATION (the heap-code bound)."""
+    if not 0 <= n <= MAX_GENERATION:
+        raise ValueError(f"tree depth n={n} out of range 0..{MAX_GENERATION}")
 
 
 def generation_blocks(
     sample_block: Callable[[np.ndarray, np.ndarray], tuple],
     keys: np.ndarray,
-    roots: np.ndarray,
+    m0: float,
+    rho0: float,
     n: int,
 ) -> Iterator[tuple]:
     """Yield (g, states) for g = 0..n over a block of replicates.
 
     states has shape (len(keys), 2^g): row r is generation g of the tree
-    keyed keys[r] and rooted at roots[r]. Node (g, i) draws its children
-    (g+1, 2i) and (g+1, 2i+1) from its own stream. A step's temporaries
-    (stream states, normals) are freed before its generation is yielded.
+    keyed keys[r]. Its root is m0 + rho0 * z, z the first normal of the
+    reserved stream; a point mass (rho0 == 0) is m0, with no draw.
+    `sample_block` maps (parent states, their stream states) of equal
+    shape to the arrays of first and second children: node (g, i) draws
+    its children (g+1, 2i) and (g+1, 2i+1) from its own stream. A step's
+    temporaries (stream states, normals) are freed before its generation
+    is yielded.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > MAX_GENERATION:
-        raise OverflowError(f"tree depth {n} exceeds heap-code capacity")
-    states = np.asarray(roots, dtype=float)[:, None]
+    check_depth(n)
+    if rho0 == 0:
+        states = np.full((len(keys), 1), float(m0))
+    else:
+        z0, _ = stream_normal_pairs(initial_states(keys), 0)
+        states = (m0 + rho0 * z0)[:, None]
     yield 0, states
     for g in range(n):
         first, second = sample_block(states, generation_states(keys, g))
@@ -236,22 +233,23 @@ def generation_blocks(
 
 
 def simulate_generations(
-    kernel: TransitionKernel,
-    initial_sampler: Callable[[NodeStream], float],
+    sample_block: Callable[[np.ndarray, np.ndarray], tuple],
+    m0: float,
+    rho0: float,
     n: int,
     seed: ReplicateSeed,
 ) -> Iterator[GenerationBuffer]:
-    """Yield GenerationBuffer for g = 0..n of one replicate's tree.
+    """GenerationBuffer for g = 0..n of one replicate's tree, root law
+    N(m0, rho0^2), from the block engine.
 
-    The root is drawn by `initial_sampler` from the reserved stream; the
-    generations come from the block engine. Only the current generation
-    is materialized here; consumers that need the whole tree must store
-    the buffers themselves.
+    The depth is checked before the generator is returned. Only the
+    current generation is materialized here; consumers that need the
+    whole tree must store the buffers themselves.
     """
+    check_depth(n)
     keys = replicate_keys(seed.master_seed, [seed.replicate_index])
-    root = initial_sampler(NodeStream(int(initial_states(keys)[0])))
-    for g, states in generation_blocks(kernel.sample_block, keys, [root], n):
-        yield GenerationBuffer(g, states[0])
+    blocks = generation_blocks(sample_block, keys, m0, rho0, n)
+    return (GenerationBuffer(g, states[0]) for g, states in blocks)
 
 
 def scope_generations(scope: str, n: int) -> range:
@@ -266,38 +264,6 @@ def scope_generations(scope: str, n: int) -> range:
 def scope_size(scope: str, n: int) -> int:
     """|A_n|: 2^n for G_n, 2^(n+1) - 1 for T_n."""
     return sum(1 << g for g in scope_generations(scope, n))
-
-
-def collect_statistic(
-    generations: Iterable[GenerationBuffer],
-    f: Callable[[np.ndarray], np.ndarray],
-    scope: str,
-    n: int,
-) -> float:
-    """Additive statistic over the stream: M_{G_n}(f) or M_{T_n}(f).
-
-    `f` must accept ndarray input. The sum is accumulated online so a
-    streamed simulation never holds more than one generation.
-    """
-    members = scope_generations(scope, n)
-    total = 0.0
-    last_seen = -1
-    for buf in generations:
-        if buf.generation != last_seen + 1:
-            raise ValueError(
-                f"non-contiguous stream: generation {buf.generation} after {last_seen}"
-            )
-        last_seen = buf.generation
-        if buf.generation > n:
-            break
-        if buf.generation in members:
-            total += float(np.sum(f(buf.states)))
-    if last_seen < n:
-        raise ValueError(
-            f"incomplete simulation: stream ended at generation {last_seen}, "
-            f"needed {n}"
-        )
-    return total
 
 
 def dump_trajectory(generations: Iterable[GenerationBuffer], fh) -> None:

@@ -33,10 +33,8 @@ from scipy.special import ndtr
 from bartree.bar_model import (
     BarModel,
     bar_kernel,
-    gaussian_initial_sampler,
     invariant_density,
     q_power_apply,
-    stationary_initial,
 )
 from bartree.fluctuations import cross_generation_pairs
 from bartree.harness import (
@@ -59,7 +57,6 @@ from bartree.tree_sim import (
     GENERATION_SCOPE,
     TREE_SCOPE,
     ReplicateSeed,
-    collect_statistic,
     simulate_generations,
 )
 
@@ -451,16 +448,21 @@ def test_criterion8_chunking_determinism(tmp_path):
 
 
 def test_criterion8_stream_vs_stored(model_half):
+    # the moment Monte Carlo streams blocks of replicates through the engine
+    # and keeps only per-replicate generation sums; at every chunking they
+    # must equal, bit for bit, the sums over each tree stored whole
     f = lambda y: np.exp(-np.abs(y))
-    kernel = bar_kernel(model_half)
-    sampler = gaussian_initial_sampler(stationary_initial(model_half))
+    x, reps, seed = -1.3, 5, 5
     for n in (3, 7, 10):
-        for scope in (GENERATION_SCOPE, TREE_SCOPE):
-            streamed = collect_statistic(
-                simulate_generations(kernel, sampler, n, ReplicateSeed(5, 0)),
-                f,
-                scope,
-                n,
+        stored = [
+            list(simulate_generations(bar_kernel(model_half), x, 0.0, n, ReplicateSeed(seed, r)))
+            for r in range(reps)
+        ]
+        f_by_gen = {g: f for g in range(n + 1)}
+        for chunk in ({"chunk_size": 1}, {"chunk_size": 3}, {}):
+            streamed = monte_carlo_generation_sums(
+                f_by_gen, n, x, model_half, reps, master_seed=seed, **chunk
             )
-            stored = list(simulate_generations(kernel, sampler, n, ReplicateSeed(5, 0)))
-            assert streamed == collect_statistic(stored, f, scope, n)
+            for g in range(n + 1):
+                want = np.array([np.sum(f(tree[g].states)) for tree in stored])
+                assert streamed[g].tobytes() == want.tobytes(), (n, chunk, g)

@@ -15,7 +15,7 @@ from bartree.bar_model import (
     q_power_apply,
     stationary_initial,
 )
-from bartree.tree_sim import NodeAddress, NodeStream, ReplicateSeed, node_randomness
+from bartree.tree_sim import NodeAddress, ReplicateSeed, node_randomness
 
 # direct evaluations of the closed forms, frozen at high precision
 MU_0_A05 = 0.345494149471335479
@@ -74,7 +74,7 @@ def test_transition_marginal_is_Q_kernel():
     x = 0.9
     keys = np.array([ReplicateSeed(8, 0).key()], dtype=np.uint64)
     states = tree_sim.generation_states(keys, 17)[0][:100_000]
-    c0, _ = bar_kernel(model).sample_block(np.full(states.shape, x), states)
+    c0, _ = bar_kernel(model)(np.full(states.shape, x), states)
     z = np.sort((c0 - model.a * x) / model.sigma)
     n = z.size
     grid = ndtr(z)
@@ -88,7 +88,7 @@ def test_sibling_conditional_independence():
     keys = np.array([ReplicateSeed(77, 0).key()], dtype=np.uint64)
     parent_states = tree_sim.generation_states(keys, 17)[0][:100_000]
     parents = model.sigma_a * tree_sim.stream_normal_pairs(parent_states[None, :], 2)[0][0]
-    c0, c1 = bar_kernel(model).sample_block(parents, parent_states[None, :][0])
+    c0, c1 = bar_kernel(model)(parents, parent_states[None, :][0])
     e0, e1 = c0 - model.a * parents, c1 - model.a * parents
     corr = float(np.corrcoef(e0, e1)[0, 1])
     assert abs(corr) < 3.0 / math.sqrt(e0.size)
@@ -101,9 +101,9 @@ def test_kernel_block_matches_scalar():
     g = 3
     states = tree_sim.generation_states(keys, g)
     parents = np.linspace(-2, 2, 1 << g)
-    b0, b1 = bar_kernel(model).sample_block(parents[None, :], states)
+    b0, b1 = bar_kernel(model)(parents[None, :], states)
     for i in range(1 << g):
-        s0, s1 = bar_kernel(model).sample(parents[i], node_randomness(seed, NodeAddress(g, i)))
+        s0, s1 = bar_transition(parents[i], node_randomness(seed, NodeAddress(g, i)), model)
         assert (b0[0, i], b1[0, i]) == (s0, s1)
 
 

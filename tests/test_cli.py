@@ -1,10 +1,9 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from bartree.bar_model import BarModel, bar_kernel, gaussian_initial_sampler, stationary_initial
+from bartree.bar_model import BarModel, bar_kernel, stationary_initial
 from bartree.cli import main
 from bartree.smoothing import BandwidthSchedule, bandwidth, density_estimate, gaussian_kernel
 from bartree.tree_sim import ReplicateSeed, simulate_generations
@@ -79,11 +78,9 @@ def test_simulate_dump_matches_stdout(capsys, tmp_path):
 
 def _library_estimate(a, n, gamma, xs, seed, tree=False):
     model = BarModel(a, 1.0)
+    initial = stationary_initial(model)
     gens = simulate_generations(
-        bar_kernel(model),
-        gaussian_initial_sampler(stationary_initial(model)),
-        n,
-        ReplicateSeed(seed, 0),
+        bar_kernel(model), initial.m0, initial.rho0, n, ReplicateSeed(seed, 0)
     )
     parts = [buf.states for buf in gens if tree or buf.generation == n]
     h = bandwidth(n, BandwidthSchedule(gamma))
@@ -251,6 +248,11 @@ def test_missing_required_flag_exits():
         main(["estimate", "--a", "0.5", "--n", "4", "--gamma", "0.2"])
 
 
+# stands for a --dump path inside the test's own directory
+DUMP = "<dump>"
+TOO_DEEP = "tree depth n=63 out of range 0..62"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -259,14 +261,29 @@ def test_missing_required_flag_exits():
         (["estimate", "--a", "0.5", "--n", "4", "--gamma", "0.2", "--x=abc"],
          "could not convert string to float"),
         (["clt", "--a", "0.5", "--n", "70", "--gamma", "0.201", "--x=-1.3", "--n0", "3"],
-         "tree depth n=70 out of range"),
-        (["simulate", "--a", "0.5", "--n", "-1"], "n must be non-negative"),
+         "tree depth n=70 out of range 0..62"),
+        (["simulate", "--a", "0.5", "--n", "-1"], "tree depth n=-1 out of range 0..62"),
+        (["simulate", "--a", "0.5", "--n", "-1", "--dump", DUMP],
+         "tree depth n=-1 out of range 0..62"),
+        (["simulate", "--a", "0.5", "--n", "63"], TOO_DEEP),
+        (["simulate", "--a", "0.5", "--n", "63", "--dump", DUMP], TOO_DEEP),
+        (["estimate", "--a", "0.5", "--n", "63", "--gamma", "0.2", "--x", "0.0"], TOO_DEEP),
     ],
-    ids=["moments_m_above_n", "estimate_bad_x", "clt_n_too_deep", "simulate_negative_n"],
+    ids=[
+        "moments_m_above_n", "estimate_bad_x", "clt_n_too_deep", "simulate_negative_n",
+        "simulate_negative_n_dump", "simulate_n_too_deep", "simulate_n_too_deep_dump",
+        "estimate_n_too_deep",
+    ],
 )
-def test_bad_value_is_a_usage_error(capsys, argv, message):
+def test_bad_value_is_a_usage_error(capsys, tmp_path, argv, message):
+    # one error line, exit 2, and nothing written: no stdout, no dump file
+    dump = tmp_path / "traj.csv"
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([str(dump) if arg == DUMP else arg for arg in argv])
     assert exc.value.code == 2
-    last = capsys.readouterr().err.splitlines()[-1]
+    captured = capsys.readouterr()
+    last = captured.err.splitlines()[-1]
     assert last.startswith("bartree: error: ") and message in last
+    assert captured.err.count("bartree: error: ") == 1
+    assert captured.out == ""
+    assert not dump.exists()

@@ -4,13 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bartree.bar_model import (
-    BarModel,
-    bar_kernel,
-    gaussian_initial_sampler,
-    invariant_density,
-    stationary_initial,
-)
+from bartree.bar_model import BarModel, bar_kernel, invariant_density, stationary_initial
 from bartree.fluctuations import cross_generation_pairs, theoretical_limit, zeta
 from bartree.harness import ExperimentConfig, run_clt_experiment
 from bartree.smoothing import BandwidthSchedule, bandwidth, density_estimate, gaussian_kernel
@@ -24,15 +18,12 @@ VAR_A0_X0 = 0.112539539519638259
 
 
 def _simulate_tree(model, n, seed=0, rep=0):
-    gens = list(
+    initial = stationary_initial(model)
+    return list(
         simulate_generations(
-            bar_kernel(model),
-            gaussian_initial_sampler(stationary_initial(model)),
-            n,
-            ReplicateSeed(seed, rep),
+            bar_kernel(model), initial.m0, initial.rho0, n, ReplicateSeed(seed, rep)
         )
     )
-    return gens
 
 
 # -- zeta ---------------------------------------------------------------------

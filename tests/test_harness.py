@@ -195,17 +195,6 @@ def test_tree_scope_run():
 
 # -- ecdf ------------------------------------------------------------------------
 
-def test_ecdf_examples():
-    e = ecdf([0.0])
-    assert e.evaluate(0.0) == 1.0
-    assert e.evaluate(-1e-9) == 0.0
-    e = ecdf([1.0, 2.0, 3.0])
-    assert e.evaluate(2.0) == pytest.approx(2.0 / 3.0)
-    assert e.evaluate(0.5) == 0.0
-    assert e.evaluate(3.5) == 1.0
-    np.testing.assert_allclose(e.evaluate(np.array([0.5, 2.0])), [0.0, 2.0 / 3.0])
-
-
 def test_ecdf_empty():
     with pytest.raises(ValueError):
         ecdf([])

@@ -24,7 +24,6 @@ MU_PP_HALF = 0.018389148659760431     # |mu''(-1.3)|/2 for a=0.5, sigma=1
 
 def test_gaussian_kernel_constants():
     K = gaussian_kernel()
-    assert K.dim == 1
     assert K.order == 2.0
     assert K.l1_norm == 1.0
     assert math.isclose(K.l2_norm_sq, K2_GAUSS, rel_tol=1e-14)
@@ -37,7 +36,6 @@ def test_build_kernel_rejects_unnormalized():
         build_kernel(
             name="bad",
             evaluate=lambda u: np.exp(-0.5 * np.asarray(u) ** 2),  # missing 1/sqrt(2pi)
-            dim=1,
             l1_norm=1.0,
             l2_norm_sq=K2_GAUSS,
             sup_norm=1.0,
@@ -50,7 +48,6 @@ def test_build_kernel_rejects_wrong_declared_norm():
         build_kernel(
             name="bad",
             evaluate=lambda u: np.exp(-0.5 * np.asarray(u) ** 2) / math.sqrt(2 * math.pi),
-            dim=1,
             l1_norm=1.0,
             l2_norm_sq=0.5,
             sup_norm=1.0,
@@ -65,22 +62,8 @@ def test_build_kernel_rejects_nonvanishing_moment():
             name="shifted",
             evaluate=lambda u: np.exp(-0.5 * (np.asarray(u) - 0.25) ** 2)
             / math.sqrt(2 * math.pi),
-            dim=1,
             l1_norm=1.0,
             l2_norm_sq=K2_GAUSS,
-            sup_norm=1.0,
-            order=2.0,
-        )
-
-
-def test_build_kernel_rejects_multidim():
-    with pytest.raises(ValueError):
-        build_kernel(
-            name="nd",
-            evaluate=lambda u: u,
-            dim=2,
-            l1_norm=1.0,
-            l2_norm_sq=1.0,
             sup_norm=1.0,
             order=2.0,
         )
@@ -92,9 +75,6 @@ def test_schedule_validation():
     for bad in (0.0, -0.1, 1.0, 1.7):
         with pytest.raises(ValueError):
             BandwidthSchedule(bad)
-    with pytest.raises(ValueError):
-        BandwidthSchedule(0.6, dim=2)  # 1/d = 0.5
-    assert BandwidthSchedule(0.4, dim=2).gamma == 0.4
 
 
 def test_bandwidth_values():

@@ -7,34 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bartree import tree_sim
-from bartree.bar_model import (
-    BarModel,
-    bar_kernel,
-    gaussian_initial_sampler,
-    stationary_initial,
-)
+from bartree.bar_model import BarModel, bar_kernel, bar_transition, stationary_initial
 from bartree.tree_sim import (
     GENERATION_SCOPE,
     MAX_GENERATION,
     TREE_SCOPE,
     NodeAddress,
-    NodeStream,
     ReplicateSeed,
-    TransitionKernel,
-    collect_statistic,
     dump_trajectory,
     initial_randomness,
     node_randomness,
+    scope_generations,
+    scope_size,
     simulate_generations,
 )
 
 
-def constant_tree_kernel():
+def constant_tree_kernel(parents, streams):
     # children copy the parent; useful as a degenerate oracle
-    return TransitionKernel(
-        sample=lambda x, stream: (x, x),
-        sample_block=lambda parents, streams: (parents, parents),
-    )
+    return parents, parents
+
+
+def stationary_tree(model, n, seed):
+    initial = stationary_initial(model)
+    return simulate_generations(bar_kernel(model), initial.m0, initial.rho0, n, seed)
 
 
 # -- addressing ---------------------------------------------------------------
@@ -133,14 +129,7 @@ def test_vectorized_streams_match_scalar_streams():
 
 def test_simulate_n0_single_initial_draw():
     model = BarModel(0.5, 1.0)
-    bufs = list(
-        simulate_generations(
-            bar_kernel(model),
-            gaussian_initial_sampler(stationary_initial(model)),
-            0,
-            ReplicateSeed(3, 0),
-        )
-    )
+    bufs = list(stationary_tree(model, 0, ReplicateSeed(3, 0)))
     assert len(bufs) == 1
     assert bufs[0].generation == 0
     assert bufs[0].states.shape == (1,)
@@ -150,62 +139,35 @@ def test_simulate_n0_single_initial_draw():
 
 def test_simulate_generation_sizes():
     model = BarModel(0.5, 1.0)
-    sizes = [
-        buf.states.size
-        for buf in simulate_generations(
-            bar_kernel(model),
-            gaussian_initial_sampler(stationary_initial(model)),
-            3,
-            ReplicateSeed(0, 0),
-        )
-    ]
+    sizes = [buf.states.size for buf in stationary_tree(model, 3, ReplicateSeed(0, 0))]
     assert sizes == [1, 2, 4, 8]
 
 
 def test_degenerate_copy_kernel_gives_constant_tree():
     c = 3.25
-    for buf in simulate_generations(
-        constant_tree_kernel(), lambda stream: c, 5, ReplicateSeed(1, 0)
-    ):
+    for buf in simulate_generations(constant_tree_kernel, c, 0.0, 5, ReplicateSeed(1, 0)):
         assert np.all(buf.states == c)
 
 
 def test_iid_generation_mean_when_a_is_zero():
     # a=0: generation 10 is 1024 i.i.d. N(0,1) values
     model = BarModel(0.0, 1.0)
-    gens = simulate_generations(
-        bar_kernel(model),
-        gaussian_initial_sampler(stationary_initial(model)),
-        10,
-        ReplicateSeed(7, 0),
-    )
-    last = [buf for buf in gens][-1]
+    last = [buf for buf in stationary_tree(model, 10, ReplicateSeed(7, 0))][-1]
     assert abs(float(np.mean(last.states))) < 4.0 / math.sqrt(1024)
 
 
 def test_negative_n_rejected():
-    model = BarModel(0.5, 1.0)
-    with pytest.raises(ValueError):
-        list(
-            simulate_generations(
-                bar_kernel(model),
-                gaussian_initial_sampler(stationary_initial(model)),
-                -1,
-                ReplicateSeed(0, 0),
-            )
-        )
+    # checked when the generator is made, not when it is first advanced,
+    # so a caller fails before it writes anything
+    with pytest.raises(ValueError, match=f"n=-1 out of range 0..{MAX_GENERATION}"):
+        stationary_tree(BarModel(0.5, 1.0), -1, ReplicateSeed(0, 0))
 
 
 def test_reproducibility_bitwise():
     model = BarModel(0.7, 1.3)
     run = lambda: [
         buf.states.copy()
-        for buf in simulate_generations(
-            bar_kernel(model),
-            gaussian_initial_sampler(stationary_initial(model)),
-            8,
-            ReplicateSeed(42, 11),
-        )
+        for buf in stationary_tree(model, 8, ReplicateSeed(42, 11))
     ]
     for a, b in zip(run(), run()):
         assert np.array_equal(a, b)
@@ -219,101 +181,61 @@ def test_node_evaluation_order_is_irrelevant(perm_seed):
     model = BarModel(0.6, 0.9)
     seed = ReplicateSeed(13, 2)
     n = 5
-    bufs = list(
-        simulate_generations(
-            bar_kernel(model),
-            gaussian_initial_sampler(stationary_initial(model)),
-            n,
-            ReplicateSeed(13, 2),
-        )
-    )
+    bufs = list(stationary_tree(model, n, seed))
     parents = bufs[n - 1].states
     got = np.empty(1 << n)
     order = np.random.default_rng(perm_seed).permutation(1 << (n - 1))
     for i in order:
         stream = node_randomness(seed, NodeAddress(n - 1, int(i)))
-        c0, c1 = bar_kernel(model).sample(parents[i], stream)
+        c0, c1 = bar_transition(parents[i], stream, model)
         got[2 * i] = c0
         got[2 * i + 1] = c1
     assert np.array_equal(got, bufs[n].states)
 
 
-# -- statistics ---------------------------------------------------------------
+# -- scope ------------------------------------------------------------------
+
+def scope_statistic(generations, f, scope, n):
+    # sum of f over the nodes of A_n, read from a stream of generations
+    members = scope_generations(scope, n)
+    return sum(float(np.sum(f(buf.states))) for buf in generations if buf.generation in members)
+
 
 def test_collect_statistic_cardinalities():
+    assert list(scope_generations(GENERATION_SCOPE, 5)) == [5]
+    assert list(scope_generations(TREE_SCOPE, 5)) == [0, 1, 2, 3, 4, 5]
+    assert scope_size(GENERATION_SCOPE, 5) == 32
+    assert scope_size(TREE_SCOPE, 5) == 63
+    # counting the nodes of a simulated tree gives the same |A_n|
     model = BarModel(0.5, 1.0)
-    sim = lambda: simulate_generations(
-        bar_kernel(model),
-        gaussian_initial_sampler(stationary_initial(model)),
-        5,
-        ReplicateSeed(0, 0),
-    )
     one = lambda y: np.ones_like(y)
-    assert collect_statistic(sim(), one, GENERATION_SCOPE, 5) == 32.0
-    assert collect_statistic(sim(), one, TREE_SCOPE, 5) == 63.0
-
-
-def test_collect_statistic_constant_tree():
-    c = -1.7
-    stat = collect_statistic(
-        simulate_generations(constant_tree_kernel(), lambda s: c, 3, ReplicateSeed(0, 0)),
-        lambda y: y * y,
-        TREE_SCOPE,
-        3,
-    )
-    assert math.isclose(stat, 15 * c * c, rel_tol=1e-12)
-
-
-def test_collect_statistic_incomplete_stream():
-    model = BarModel(0.5, 1.0)
-    gens = list(
-        simulate_generations(
-            bar_kernel(model),
-            gaussian_initial_sampler(stationary_initial(model)),
-            3,
-            ReplicateSeed(0, 0),
-        )
-    )
-    with pytest.raises(ValueError):
-        collect_statistic(gens, lambda y: y, GENERATION_SCOPE, 5)
-    with pytest.raises(ValueError):
-        collect_statistic(gens[1:], lambda y: y, TREE_SCOPE, 3)
+    for scope in (GENERATION_SCOPE, TREE_SCOPE):
+        tree = stationary_tree(model, 5, ReplicateSeed(0, 0))
+        assert scope_statistic(tree, one, scope, 5) == scope_size(scope, 5)
 
 
 def test_collect_statistic_unknown_scope():
-    with pytest.raises(ValueError):
-        collect_statistic([], lambda y: y, "node_n", 3)
+    with pytest.raises(ValueError, match="unknown scope"):
+        scope_generations("node_n", 3)
+    with pytest.raises(ValueError, match="unknown scope"):
+        scope_size("node_n", 3)
 
 
 def test_stream_vs_stored_equivalence():
-    # consuming the generator lazily equals collecting from a stored tree
+    # consuming the generator lazily equals summing over a stored tree
     model = BarModel(0.5, 1.0)
     n = 10
-    sim = lambda: simulate_generations(
-        bar_kernel(model),
-        gaussian_initial_sampler(stationary_initial(model)),
-        n,
-        ReplicateSeed(21, 0),
-    )
+    sim = lambda: stationary_tree(model, n, ReplicateSeed(21, 0))
     stored = list(sim())
     f = lambda y: y * y - y
     for scope in (GENERATION_SCOPE, TREE_SCOPE):
-        assert collect_statistic(sim(), f, scope, n) == collect_statistic(
-            stored, f, scope, n
-        )
+        assert scope_statistic(sim(), f, scope, n) == scope_statistic(stored, f, scope, n)
 
 
 def test_dump_trajectory_roundtrip():
     model = BarModel(0.5, 1.0)
     n = 4
-    stored = list(
-        simulate_generations(
-            bar_kernel(model),
-            gaussian_initial_sampler(stationary_initial(model)),
-            n,
-            ReplicateSeed(5, 0),
-        )
-    )
+    stored = list(stationary_tree(model, n, ReplicateSeed(5, 0)))
     fh = io.StringIO()
     dump_trajectory(stored, fh)
     lines = fh.getvalue().split("\n")
