@@ -6,11 +6,12 @@ configured scope, turns each estimate into the fluctuation statistic
 zeta, and compares the n0 zeta samples against the theoretical Gaussian
 limit through the Kolmogorov-Smirnov distance.
 
-Replicates are simulated in vectorized blocks. Every random draw is a
-pure function of (master seed, replicate index, node address), so the
-block size, execution order and any parallel partitioning cannot change
-the output: the determinism contract is bit-identical results for a
-given config.
+Replicates are simulated in vectorized chunks, and each chunk's trees in
+column blocks. Every random draw is a pure function of (master seed,
+replicate index, node address), and block sums are merged in numpy's
+pairwise order, so the chunk size, block width, execution order and any
+parallel partitioning cannot change the output: the determinism contract
+is bit-identical results for a given config.
 """
 
 import json
@@ -111,9 +112,12 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> 
 
     Each term is (generations, reduce): row t of the (len(terms), reps)
     result is, per replicate, the sum over terms[t]'s generations of
-    reduce(states), a reduction of each row of a (replicates, 2^g)
-    generation block. Replicates run through the engine `chunk_size` at
-    a time, with root law `initial`; the chunking never changes a bit.
+    reduce(states), a reduction of each row of a (replicates, columns)
+    block of one generation. A generation's block reductions are merged
+    in numpy's pairwise order (tree_sim.merge_block_sum), so its sum is
+    the reduction of the whole generation bit for bit. Replicates run
+    through the engine `chunk_size` at a time, with root law `initial`;
+    neither the chunking nor the block width changes a bit.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
@@ -125,10 +129,17 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> 
         stop = min(start + chunk_size, reps)
         keys = tree_sim.replicate_keys(master_seed, range(start, stop))
         blocks = tree_sim.generation_blocks(sample_block, keys, initial.m0, initial.rho0, n)
-        for g, states in blocks:
-            for row, (generations, reduce) in zip(out, terms):
+        carries = {}  # (term, generation) -> carry stack of its block sums
+        for g, lo, states in blocks:
+            complete = lo + states.shape[1] == 1 << g
+            for t, (generations, reduce) in enumerate(terms):
                 if g in generations:
-                    row[start:stop] += reduce(states)
+                    stack = carries.setdefault((t, g), [])
+                    tree_sim.merge_block_sum(stack, reduce(states))
+                    # generations complete in ascending order, so each row
+                    # adds them up as a breadth-first pass would
+                    if complete:
+                        out[t, start:stop] += carries.pop((t, g))[0][1]
     return out
 
 

@@ -17,7 +17,7 @@ states never collide within a replicate.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -28,6 +28,16 @@ _MIX2 = 0x94D049BB133111EB
 
 # Heap codes live in uint64; generation 63 would overflow 2^g + i.
 MAX_GENERATION = 62
+
+# The engine's column blocks: about BLOCK_ELEMENTS cells (128 KiB of
+# float64) so that a block step stays in cache, and never narrower than
+# numpy's pairwise-summation block of 128, so that block sums merged in
+# heap order reproduce np.sum over the whole generation bit for bit.
+BLOCK_ELEMENTS = 1 << 14
+MIN_BLOCK_WIDTH = 1 << 7
+
+# simulate_generations holds one whole tree: 2^23 - 1 float64, 64 MiB.
+MAX_STORED_DEPTH = 22
 
 _TWO_PI = 2.0 * np.pi
 
@@ -152,12 +162,17 @@ def initial_randomness(seed: ReplicateSeed) -> NodeStream:
 
 # -- vectorized twins of the scalar stream (used by the block engine) -------
 
-def generation_states(keys: np.ndarray, generation: int) -> np.ndarray:
-    """uint64 stream states of all nodes of one generation, for a block
-    of replicate keys; shape (len(keys), 2^generation)."""
+def generation_states(
+    keys: np.ndarray, generation: int, lo: int = 0, width: Optional[int] = None
+) -> np.ndarray:
+    """uint64 stream states of nodes [lo, lo + width) of one generation
+    (by default all of it), for a block of replicate keys; shape
+    (len(keys), width)."""
     if generation > MAX_GENERATION:
         raise OverflowError(f"generation {generation} exceeds heap-code capacity")
-    codes = (np.uint64(1 << generation) + np.arange(1 << generation, dtype=np.uint64))
+    if width is None:
+        width = (1 << generation) - lo
+    codes = np.uint64(1 << generation) + np.arange(lo, lo + width, dtype=np.uint64)
     codes = codes * np.uint64(GOLDEN) + np.uint64(1)
     return _mix_u64(np.asarray(keys, dtype=np.uint64)[:, None] ^ codes[None, :])
 
@@ -198,6 +213,15 @@ def check_depth(n: int) -> None:
         raise ValueError(f"tree depth n={n} out of range 0..{MAX_GENERATION}")
 
 
+def _block_width(rows: int) -> int:
+    """Width of the engine's column blocks for `rows` replicates: the
+    largest power of two whose block has at most BLOCK_ELEMENTS cells,
+    and never below MIN_BLOCK_WIDTH."""
+    cells = BLOCK_ELEMENTS // rows
+    widest = 1 << (cells.bit_length() - 1) if cells else 0
+    return max(MIN_BLOCK_WIDTH, widest)
+
+
 def generation_blocks(
     sample_block: Callable[[np.ndarray, np.ndarray], tuple],
     keys: np.ndarray,
@@ -205,31 +229,68 @@ def generation_blocks(
     rho0: float,
     n: int,
 ) -> Iterator[tuple]:
-    """Yield (g, states) for g = 0..n over a block of replicates.
+    """Yield (g, lo, states) over a block of replicates, depth first, for
+    every column block of generations 0..n.
 
-    states has shape (len(keys), 2^g): row r is generation g of the tree
-    keyed keys[r]. Its root is m0 + rho0 * z, z the first normal of the
-    reserved stream; a point mass (rho0 == 0) is m0, with no draw.
-    `sample_block` maps (parent states, their stream states) of equal
-    shape to the arrays of first and second children: node (g, i) draws
-    its children (g+1, 2i) and (g+1, 2i+1) from its own stream. A step's
-    temporaries (stream states, normals) are freed before its generation
-    is yielded.
+    states has shape (len(keys), w): row r holds nodes (g, lo)..(g, lo+w-1)
+    of the tree keyed keys[r]. A generation is one block (w = 2^g) while
+    it fits in the block width, and is split into blocks of that width
+    further down; widths are powers of two. Blocks come in heap order:
+    a parent block before its children, a left block with all its
+    descendants before the right one. So the blocks of one generation
+    arrive left to right, and generation g's last block before g+1's.
+    Only O(n) blocks are held at once, whatever n.
+
+    The root is m0 + rho0 * z, z the first normal of the reserved stream;
+    a point mass (rho0 == 0) is m0, with no draw. `sample_block` maps
+    (parent states, their stream states) of equal shape to the arrays of
+    first and second children: node (g, i) draws its children (g+1, 2i)
+    and (g+1, 2i+1) from its own stream.
     """
     check_depth(n)
+    rows = len(keys)
+    width = _block_width(rows)
     if rho0 == 0:
-        states = np.full((len(keys), 1), float(m0))
+        root = np.full((rows, 1), float(m0))
     else:
         z0, _ = stream_normal_pairs(initial_states(keys), 0)
-        states = (m0 + rho0 * z0)[:, None]
-    yield 0, states
-    for g in range(n):
-        first, second = sample_block(states, generation_states(keys, g))
-        states = np.empty((len(keys), 2 << g))
-        states[:, 0::2] = first
-        states[:, 1::2] = second
-        del first, second
-        yield g + 1, states
+        root = (m0 + rho0 * z0)[:, None]
+    stack = [(0, 0, root)]
+    while stack:
+        g, lo, states = stack.pop()
+        yield g, lo, states
+        if g == n:
+            continue
+        w = states.shape[1]
+        first, second = sample_block(states, generation_states(keys, g, lo, w))
+        children = np.empty((rows, 2 * w))
+        children[:, 0::2] = first
+        children[:, 1::2] = second
+        del first, second, states
+        if 2 * w <= width:
+            stack.append((g + 1, 2 * lo, children))
+        else:
+            stack.append((g + 1, 2 * lo + w, children[:, w:]))
+            stack.append((g + 1, 2 * lo, children[:, :w]))
+
+
+def merge_block_sum(stack: list, block_sum) -> None:
+    """Add one block's sum to the carry stack of a generation's sum.
+
+    The blocks of one generation have one power-of-two width and are
+    pushed left to right; two sums of equal level (covering equally many
+    blocks) are merged as soon as both exist. After the last block the
+    stack holds one entry, (level, sum), and for widths >= MIN_BLOCK_WIDTH
+    that sum equals np.sum(axis=-1) over the whole generation bit for bit:
+    numpy sums 2^k > 128 doubles as the sum of its two halves,
+    recursively, down to blocks of 128.
+    """
+    level = 0
+    while stack and stack[-1][0] == level:
+        _, left = stack.pop()
+        block_sum = left + block_sum
+        level += 1
+    stack.append((level, block_sum))
 
 
 def simulate_generations(
@@ -242,14 +303,28 @@ def simulate_generations(
     """GenerationBuffer for g = 0..n of one replicate's tree, root law
     N(m0, rho0^2), from the block engine.
 
-    The depth is checked before the generator is returned. Only the
-    current generation is materialized here; consumers that need the
-    whole tree must store the buffers themselves.
+    The depth is checked, against MAX_STORED_DEPTH too, before the
+    generator is returned. The whole tree, 2^(n+1) - 1 values, is
+    assembled from the engine's blocks when the first generation is
+    requested, since the engine finishes the generations in depth-first
+    order.
     """
     check_depth(n)
+    if n > MAX_STORED_DEPTH:
+        raise ValueError(
+            f"tree depth n={n} exceeds the stored-tree limit {MAX_STORED_DEPTH} "
+            f"(one tree of 2^{MAX_STORED_DEPTH + 1} - 1 values)"
+        )
     keys = replicate_keys(seed.master_seed, [seed.replicate_index])
-    blocks = generation_blocks(sample_block, keys, m0, rho0, n)
-    return (GenerationBuffer(g, states[0]) for g, states in blocks)
+
+    def assembled():
+        tree = [np.empty(1 << g) for g in range(n + 1)]
+        for g, lo, states in generation_blocks(sample_block, keys, m0, rho0, n):
+            tree[g][lo : lo + states.shape[1]] = states[0]
+        for g, states in enumerate(tree):
+            yield GenerationBuffer(g, states)
+
+    return assembled()
 
 
 def scope_generations(scope: str, n: int) -> range:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from bartree import tree_sim
 from bartree.bar_model import BarModel
 from bartree.quadrature import QuadratureRule
 from bartree.smoothing import gaussian_kernel
@@ -52,3 +53,18 @@ def exact_zeta():
 def script():
     """load_script, for tests of the other study scripts."""
     return load_script
+
+
+@pytest.fixture
+def forced_block_widths(monkeypatch):
+    """Iterate over it to run the engine under each forced column-block
+    width in turn: its minimum 128, then 512, then None for whole
+    generations (one block each), whatever the replicates per chunk."""
+
+    def widths():
+        for width in (128, 512, None):
+            monkeypatch.setattr(tree_sim, "BLOCK_ELEMENTS", 1 if width else 1 << 62)
+            monkeypatch.setattr(tree_sim, "MIN_BLOCK_WIDTH", width or 1 << 7)
+            yield width
+
+    return widths

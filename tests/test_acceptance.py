@@ -23,6 +23,7 @@ form is itself checked against the quadrature moment oracle in
 test_exact_reference.py.
 """
 
+import itertools
 import math
 import time
 
@@ -432,25 +433,31 @@ def test_criterion8_kernel_scaling_identity():
     assert abs(direct - regrouped) <= 1e-15 * abs(direct)
 
 
-def test_criterion8_chunking_determinism(tmp_path):
+def test_criterion8_chunking_determinism(tmp_path, forced_block_widths):
+    # neither the replicate chunk nor the engine's column-block width may
+    # change a byte: generation 10 is one block or up to eight
     cfg = ExperimentConfig(
         a=0.5, sigma=1.0, n=10, gamma=0.201, x=X, n0=100, master_seed=13
     )
-    paths = []
-    for chunk in (13, 100, 125):
-        res = run_clt_experiment(cfg, chunk_size=chunk)
-        paths.append(export(res, "csv", str(tmp_path / f"chunk{chunk}")))
-    blobs = [open(p, "rb").read() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2], (
-        "samples.csv differs across vectorization chunk sizes; replicate "
-        "partitioning leaked into the draws"
-    )
+    blobs = {}
+    for width in itertools.chain(["default"], forced_block_widths()):
+        for chunk in (13, 100, 125):
+            res = run_clt_experiment(cfg, chunk_size=chunk)
+            path = export(res, "csv", str(tmp_path / f"{width}_{chunk}"))
+            blobs[width, chunk] = open(path, "rb").read()
+    ref = blobs["default", 13]
+    for key, blob in blobs.items():
+        assert blob == ref, (
+            f"samples.csv differs at (block width, chunk size) {key}; the "
+            "partitioning of replicates or columns leaked into the draws"
+        )
 
 
-def test_criterion8_stream_vs_stored(model_half):
-    # the moment Monte Carlo streams blocks of replicates through the engine
-    # and keeps only per-replicate generation sums; at every chunking they
-    # must equal, bit for bit, the sums over each tree stored whole
+def test_criterion8_stream_vs_stored(model_half, forced_block_widths):
+    # the moment Monte Carlo streams blocks of replicates and of columns
+    # through the engine and keeps only per-replicate generation sums; at
+    # every chunking and block width they must equal, bit for bit, the sums
+    # over each tree stored whole
     f = lambda y: np.exp(-np.abs(y))
     x, reps, seed = -1.3, 5, 5
     for n in (3, 7, 10):
@@ -459,10 +466,11 @@ def test_criterion8_stream_vs_stored(model_half):
             for r in range(reps)
         ]
         f_by_gen = {g: f for g in range(n + 1)}
-        for chunk in ({"chunk_size": 1}, {"chunk_size": 3}, {}):
-            streamed = monte_carlo_generation_sums(
-                f_by_gen, n, x, model_half, reps, master_seed=seed, **chunk
-            )
-            for g in range(n + 1):
-                want = np.array([np.sum(f(tree[g].states)) for tree in stored])
-                assert streamed[g].tobytes() == want.tobytes(), (n, chunk, g)
+        for width in forced_block_widths():
+            for chunk in ({"chunk_size": 1}, {"chunk_size": 3}, {}):
+                streamed = monte_carlo_generation_sums(
+                    f_by_gen, n, x, model_half, reps, master_seed=seed, **chunk
+                )
+                for g in range(n + 1):
+                    want = np.array([np.sum(f(tree[g].states)) for tree in stored])
+                    assert streamed[g].tobytes() == want.tobytes(), (n, width, chunk, g)

@@ -251,6 +251,7 @@ def test_missing_required_flag_exits():
 # stands for a --dump path inside the test's own directory
 DUMP = "<dump>"
 TOO_DEEP = "tree depth n=63 out of range 0..62"
+TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
 
 
 @pytest.mark.parametrize(
@@ -268,11 +269,15 @@ TOO_DEEP = "tree depth n=63 out of range 0..62"
         (["simulate", "--a", "0.5", "--n", "63"], TOO_DEEP),
         (["simulate", "--a", "0.5", "--n", "63", "--dump", DUMP], TOO_DEEP),
         (["estimate", "--a", "0.5", "--n", "63", "--gamma", "0.2", "--x", "0.0"], TOO_DEEP),
+        (["simulate", "--a", "0.5", "--n", "23"], TOO_BIG),
+        (["simulate", "--a", "0.5", "--n", "23", "--dump", DUMP], TOO_BIG),
+        (["estimate", "--a", "0.5", "--n", "23", "--gamma", "0.2", "--x", "0.0"], TOO_BIG),
     ],
     ids=[
         "moments_m_above_n", "estimate_bad_x", "clt_n_too_deep", "simulate_negative_n",
         "simulate_negative_n_dump", "simulate_n_too_deep", "simulate_n_too_deep_dump",
-        "estimate_n_too_deep",
+        "estimate_n_too_deep", "simulate_n_above_stored_limit",
+        "simulate_n_above_stored_limit_dump", "estimate_n_above_stored_limit",
     ],
 )
 def test_bad_value_is_a_usage_error(capsys, tmp_path, argv, message):

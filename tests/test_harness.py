@@ -1,5 +1,10 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,11 +116,41 @@ def test_rerun_is_bit_identical():
     assert r1.sample_mean == r2.sample_mean
 
 
-def test_chunk_size_is_invisible():
-    runs = [run_clt_experiment(_config(), chunk_size=c) for c in (1, 7, 125, 500)]
-    ref = [s.zeta for s in runs[0].samples]
-    for r in runs[1:]:
-        assert [s.zeta for s in r.samples] == ref
+def test_chunk_size_is_invisible(forced_block_widths):
+    # nor the engine's column-block width: generation 9 is one block or up
+    # to four, and the tree scope merges the block sums of 10 generations
+    config = _config(n=9, scope=TREE_SCOPE, record_previous_generation=True)
+
+    def zetas(chunk):
+        r = run_clt_experiment(config, chunk_size=chunk)
+        return [s.zeta for s in r.samples], [s.zeta for s in r.prev_samples]
+
+    ref = zetas(1)
+    for width in itertools.chain(["default"], forced_block_widths()):
+        for chunk in (1, 7, 125, 500):
+            assert zetas(chunk) == ref, (width, chunk)
+
+
+def test_deep_run_memory_is_bounded():
+    # n = 22: a breadth-first engine holds generations of 2^22 columns and
+    # peaks above 300 MB; in column blocks the run stays near the
+    # interpreter's own footprint. A fresh process, so that no other
+    # test's peak counts.
+    code = (
+        "import resource\n"
+        "from bartree.harness import ExperimentConfig, run_clt_experiment\n"
+        "run_clt_experiment(ExperimentConfig(a=0.5, sigma=1.0, n=22, gamma=0.201, x=-1.3,"
+        " n0=2, scope='tree_n', record_previous_generation=True))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 150, peak_mb
 
 
 def test_master_seed_changes_everything():

@@ -123,6 +123,8 @@ def test_vectorized_streams_match_scalar_streams():
         assert (z0[0, i], z1[0, i]) == s.normal_pair(0)
     zi = tree_sim.stream_normal_pairs(tree_sim.initial_states(keys), 0)
     assert (zi[0][0], zi[1][0]) == initial_randomness(seed).normal_pair(0)
+    # a column slice of a generation is those columns of the whole one
+    assert np.array_equal(tree_sim.generation_states(keys, g, 16, 8), states[:, 16:24])
 
 
 # -- simulation ---------------------------------------------------------------
@@ -161,6 +163,49 @@ def test_negative_n_rejected():
     # so a caller fails before it writes anything
     with pytest.raises(ValueError, match=f"n=-1 out of range 0..{MAX_GENERATION}"):
         stationary_tree(BarModel(0.5, 1.0), -1, ReplicateSeed(0, 0))
+
+
+def test_blocks_tile_generations_in_heap_order():
+    # n = 20 in blocks no wider than the constants allow, which together
+    # cover every generation exactly once, left to right
+    rows, n, c = 3, 20, 0.75
+    keys = tree_sim.replicate_keys(0, range(rows))
+    cap = max(tree_sim.BLOCK_ELEMENTS // rows, tree_sim.MIN_BLOCK_WIDTH)
+    covered = [0] * (n + 1)
+    last_done = -1
+    for g, lo, states in tree_sim.generation_blocks(constant_tree_kernel, keys, c, 0.0, n):
+        w = states.shape[1]
+        assert states.shape == (rows, w) and w <= cap and w & (w - 1) == 0
+        assert lo == covered[g], (g, lo)
+        covered[g] += w
+        assert np.all(states == c)
+        if covered[g] == 1 << g:
+            # generations are completed in ascending order
+            assert g == last_done + 1
+            last_done = g
+    assert covered == [1 << g for g in range(n + 1)]
+    assert tree_sim.MIN_BLOCK_WIDTH < cap < 1 << n
+
+
+@pytest.mark.parametrize("g", [8, 12, 15, 16])
+def test_block_sums_merge_in_numpys_pairwise_order(g):
+    # the carry stack over column blocks of any width 2^b >= 2^7 reproduces
+    # np.sum over the whole generation bit for bit; the order matters,
+    # since narrower blocks do not
+    x = np.exp(3.0 * np.random.default_rng(g).standard_normal((3, 1 << g)))
+    whole = x.sum(axis=-1)
+
+    def merged(width):
+        stack = []
+        for lo in range(0, 1 << g, width):
+            tree_sim.merge_block_sum(stack, x[:, lo : lo + width].sum(axis=-1))
+        assert len(stack) == 1
+        return stack[0][1]
+
+    for b in range(7, g + 1):
+        assert merged(1 << b).tobytes() == whole.tobytes(), b
+    assert merged(1 << 6).tobytes() != whole.tobytes()
+    assert tree_sim.MIN_BLOCK_WIDTH >= 1 << 7
 
 
 def test_reproducibility_bitwise():
