@@ -126,9 +126,7 @@ def q_power_apply(f, n: int, x, model: BarModel, quad: QuadratureRule):
         vals = np.asarray(f(x), dtype=float)
         return float(vals) if x.ndim == 0 else vals
     an = model.a**n
-    std = math.sqrt(max(0.0, 1.0 - an * an)) * (
-        model.sigma_a if model.sigma > 0 else 0.0
-    )
+    std = math.sqrt(max(0.0, 1.0 - an * an)) * model.sigma_a
     return quad.expect(f, an * x, std)
 
 

@@ -52,7 +52,7 @@ SCOPE_ALIASES = {
 
 def _initial_from_args(args):
     if (args.m0 is None) != (args.rho0 is None):
-        raise SystemExit("provide --m0 and --rho0 together")
+        raise ValueError("provide --m0 and --rho0 together")
     if args.m0 is None:
         return None
     return GaussianInitial(m0=args.m0, rho0=args.rho0)
@@ -112,8 +112,11 @@ _CONFIG_FLAG_FIELDS = (
 
 
 def _read_config_file(path: str) -> dict:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}")
     if text.lstrip().startswith("{"):
         return json.loads(text)
     out = {}
@@ -126,7 +129,7 @@ def _read_config_file(path: str) -> dict:
         elif ":" in line:
             key, val = line.split(":", 1)
         else:
-            raise SystemExit(f"{path}: cannot parse config line {raw!r}")
+            raise ValueError(f"{path}: cannot parse config line {raw!r}")
         val = val.strip()
         try:
             out[key.strip()] = json.loads(val)
@@ -151,11 +154,11 @@ def cmd_clt(args) -> int:
     fields.setdefault("sigma", 1.0)
     missing = [k for k in ("a", "n", "gamma", "x", "n0") if k not in fields]
     if missing:
-        raise SystemExit(f"missing required config fields: {', '.join(missing)}")
+        raise ValueError(f"missing required config fields: {', '.join(missing)}")
     try:
         config = config_from_dict(fields)
     except TypeError as exc:
-        raise SystemExit(f"bad config: {exc}")
+        raise ValueError(f"bad config: {exc}")
 
     result = run_clt_experiment(config, chunk_size=args.chunk_size)
     written = [export(result, "csv", args.out), export(result, "json", args.out)]

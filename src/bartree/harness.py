@@ -29,7 +29,6 @@ from .bar_model import (
     BarModel,
     GaussianInitial,
     bar_kernel,
-    check_assumptions,
     invariant_density,
     stationary_initial,
 )
@@ -47,6 +46,10 @@ from .tree_sim import GENERATION_SCOPE
 KERNELS = {"gaussian": gaussian_kernel}
 
 DEFAULT_CHUNK = 125
+
+# The work limit of one run, in simulated nodes: 2^33 is about 10 min at
+# ~60 ns per node, and admits the deepest recorded run (n=22, n0=500).
+MAX_NODES = 2**33
 
 
 @dataclass(frozen=True)
@@ -94,15 +97,9 @@ def _validate(config: ExperimentConfig):
     K = KERNELS[config.kernel_name]()
     tree_sim.scope_generations(config.scope, config.n)  # rejects an unknown scope
     tree_sim.check_depth(config.n)
-    if config.n0 < 1:
-        raise ValueError("n0 must be >= 1")
     if config.record_previous_generation and config.n < 1:
         raise ValueError("record_previous_generation needs n >= 1")
     initial = _resolve_initial(config, model)
-    # surfaces invalid parameter combinations; the run itself proceeds
-    # even when the report flags a condition (that is the point of the
-    # super-critical contrast experiments)
-    check_assumptions(model, initial)
     report = admissible_bandwidth(schedule, K.order, model.alpha)
     return model, schedule, K, initial, report
 
@@ -117,8 +114,17 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> 
     in numpy's pairwise order (tree_sim.merge_block_sum), so its sum is
     the reduction of the whole generation bit for bit. Replicates run
     through the engine `chunk_size` at a time, with root law `initial`;
-    neither the chunking nor the block width changes a bit.
+    neither the chunking nor the block width changes a bit. A run of
+    no replicates, or of more than MAX_NODES nodes, is refused up front.
     """
+    if reps < 1:
+        raise ValueError(f"need at least one replicate, got {reps}")
+    nodes = reps * ((1 << (n + 1)) - 1)
+    if nodes > MAX_NODES:
+        raise ValueError(
+            f"{reps} x (2^{n + 1} - 1) = {nodes:.3g} nodes exceeds the work "
+            f"limit MAX_NODES = {MAX_NODES:.3g}"
+        )
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     sample_block = bar_kernel(model)

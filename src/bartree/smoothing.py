@@ -21,73 +21,21 @@ from .quadrature import QuadratureRule
 
 @dataclass(frozen=True)
 class SmoothingKernel:
-    """A kernel with its declared norms and order.
+    """A kernel with the two constants the CLT uses: its order s (the
+    bias condition gamma > 1/(2s+1)) and ||K||_2^2 (the limit variance
+    mu(x) ||K||_2^2)."""
 
-    The order s is an assertion by whoever builds the kernel (moment
-    vanishing up to ceil(s)-1 and a finite s-th absolute moment); the
-    factory below validates the declaration numerically instead of
-    inferring it.
-    """
-
-    name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    l1_norm: float
     l2_norm_sq: float
-    sup_norm: float
     order: float
-
-
-# Validation of a declared kernel: a 96-node rule reweighted against
-# N(0, 1), and the tolerance on each checked integral.
-_KERNEL_QUAD_ORDER = 96
-_KERNEL_TOL = 1e-8
-
-
-def build_kernel(name, evaluate, l1_norm, l2_norm_sq, sup_norm, order) -> SmoothingKernel:
-    """Construct a kernel after validating the declared attributes.
-
-    Checks: integral K = 1, vanishing moments k = 1..ceil(s)-1,
-    finite s-th absolute moment, and the declared L1/L2 norms. The
-    validating quadrature reweights against a standard Gaussian, so the
-    kernel must have sub-Gaussian-dominated tails (true for the
-    built-in Gaussian).
-    """
-    if order <= 0:
-        raise ValueError("kernel order must be positive")
-    quad = QuadratureRule.gauss_hermite(_KERNEL_QUAD_ORDER)
-    total = quad.lebesgue(evaluate)
-    if abs(total - 1.0) > _KERNEL_TOL:
-        raise ValueError(f"kernel does not integrate to 1 (got {total!r})")
-    for k in range(1, math.ceil(order)):
-        mk = quad.lebesgue(lambda u, k=k: u**k * evaluate(u))
-        if abs(mk) > _KERNEL_TOL:
-            raise ValueError(f"moment {k} of the kernel is {mk!r}, expected 0")
-    ms = quad.lebesgue(lambda u: np.abs(u) ** order * evaluate(u))
-    if not math.isfinite(ms):
-        raise ValueError(f"absolute moment of order {order} is not finite")
-    l1 = quad.lebesgue(lambda u: np.abs(evaluate(u)))
-    l2 = quad.lebesgue(lambda u: evaluate(u) ** 2)
-    if abs(l1 - l1_norm) > _KERNEL_TOL or abs(l2 - l2_norm_sq) > _KERNEL_TOL:
-        raise ValueError("declared kernel norms disagree with quadrature")
-    return SmoothingKernel(
-        name=name,
-        evaluate=evaluate,
-        l1_norm=l1_norm,
-        l2_norm_sq=l2_norm_sq,
-        sup_norm=sup_norm,
-        order=order,
-    )
 
 
 def gaussian_kernel() -> SmoothingKernel:
     """The standard Gaussian kernel: order 2, ||K||_2^2 = (2 sqrt(pi))^{-1}."""
-    return build_kernel(
-        name="gaussian",
+    return SmoothingKernel(
         evaluate=lambda u: np.exp(-0.5 * np.asarray(u, dtype=float) ** 2)
         / math.sqrt(2.0 * math.pi),
-        l1_norm=1.0,
         l2_norm_sq=1.0 / (2.0 * math.sqrt(math.pi)),
-        sup_norm=1.0 / math.sqrt(2.0 * math.pi),
         order=2.0,
     )
 

@@ -44,11 +44,6 @@ def test_check_bad_initial(capsys):
     assert json.loads(out)["assumptions"]["initial_ok"] is False
 
 
-def test_check_m0_without_rho0(capsys):
-    with pytest.raises(SystemExit):
-        main(["check", "--a", "0.5", "--gamma", "0.201", "--s", "2", "--m0", "0.0"])
-
-
 # -- simulate -------------------------------------------------------------------
 
 def test_simulate_stdout_shape(capsys):
@@ -179,18 +174,6 @@ def test_clt_json_config(capsys, tmp_path):
     assert summary["config"]["initial"] == {"m0": 0.0, "rho0": 0.5}
 
 
-def test_clt_missing_fields(capsys):
-    with pytest.raises(SystemExit, match="missing required"):
-        main(["clt", "--a", "0.5", "--n", "5"])
-
-
-def test_clt_unknown_field_in_config(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("a=0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\nbananas=3\n")
-    with pytest.raises(SystemExit, match="bad config"):
-        main(["clt", "--config", str(cfg)])
-
-
 def test_clt_samples_reproducible_across_invocations(capsys, tmp_path):
     argv = ["clt", "--a", "0.5", "--n", "5", "--gamma", "0.201", "--x=-1.3", "--n0", "9"]
     run_cli(capsys, *argv, "--out", str(tmp_path / "one"))
@@ -248,8 +231,16 @@ def test_missing_required_flag_exits():
         main(["estimate", "--a", "0.5", "--n", "4", "--gamma", "0.2"])
 
 
-# stands for a --dump path inside the test's own directory
+# stands for a --dump path (or a clt --out directory) inside the test's
+# own directory
 DUMP = "<dump>"
+# each stands for a --config file in the test's directory with this text;
+# MISSING_CONFIG for one that does not exist
+CONFIGS = {
+    "<unknown-field>": "a=0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\nbananas=3\n",
+    "<bad-line>": "a=0.5\nn 5\n",
+}
+MISSING_CONFIG = "<missing-config>"
 TOO_DEEP = "tree depth n=63 out of range 0..62"
 TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
 
@@ -272,19 +263,46 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         (["simulate", "--a", "0.5", "--n", "23"], TOO_BIG),
         (["simulate", "--a", "0.5", "--n", "23", "--dump", DUMP], TOO_BIG),
         (["estimate", "--a", "0.5", "--n", "23", "--gamma", "0.2", "--x", "0.0"], TOO_BIG),
+        (["clt", "--a", "0.5", "--n", "40", "--gamma", "0.201", "--x=-1.3", "--n0", "1",
+          "--out", DUMP], "exceeds the work limit MAX_NODES = 8.59e+09"),
+        (["moments", "--f", "id", "--n", "2", "--x", "0.5", "--a", "0.5", "--reps", "0"],
+         "need at least one replicate, got 0"),
+        (["check", "--a", "0.5", "--gamma", "0.201", "--s", "2", "--m0", "0.0"],
+         "provide --m0 and --rho0 together"),
+        (["clt", "--a", "0.5", "--n", "5", "--out", DUMP],
+         "missing required config fields: gamma, x, n0"),
+        (["clt", "--config", "<unknown-field>", "--out", DUMP],
+         "unexpected keyword argument 'bananas'"),
+        (["clt", "--config", "<bad-line>", "--out", DUMP], "cannot parse config line 'n 5'"),
+        (["clt", "--config", MISSING_CONFIG, "--out", DUMP],
+         "cannot read config file: [Errno 2] No such file or directory"),
     ],
     ids=[
         "moments_m_above_n", "estimate_bad_x", "clt_n_too_deep", "simulate_negative_n",
         "simulate_negative_n_dump", "simulate_n_too_deep", "simulate_n_too_deep_dump",
         "estimate_n_too_deep", "simulate_n_above_stored_limit",
         "simulate_n_above_stored_limit_dump", "estimate_n_above_stored_limit",
+        "clt_beyond_work_limit", "moments_zero_reps", "check_m0_without_rho0",
+        "clt_missing_fields", "clt_unknown_field_in_config", "clt_bad_config_line",
+        "clt_missing_config_file",
     ],
 )
 def test_bad_value_is_a_usage_error(capsys, tmp_path, argv, message):
     # one error line, exit 2, and nothing written: no stdout, no dump file
     dump = tmp_path / "traj.csv"
+
+    def resolve(arg):
+        if arg == DUMP:
+            return str(dump)
+        if arg in CONFIGS:
+            (tmp_path / "run.cfg").write_text(CONFIGS[arg])
+            return str(tmp_path / "run.cfg")
+        if arg == MISSING_CONFIG:
+            return str(tmp_path / "absent.cfg")
+        return arg
+
     with pytest.raises(SystemExit) as exc:
-        main([str(dump) if arg == DUMP else arg for arg in argv])
+        main([resolve(arg) for arg in argv])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     last = captured.err.splitlines()[-1]

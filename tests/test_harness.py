@@ -18,6 +18,7 @@ from bartree.bar_model import (
     stationary_initial,
 )
 from bartree.harness import (
+    MAX_NODES,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -65,6 +66,21 @@ def test_config_validation_errors():
         run_clt_experiment(_config(n=0, record_previous_generation=True))
     with pytest.raises(ValueError, match="initial"):
         run_clt_experiment(_config(initial="point_mass"))
+
+
+def test_work_is_refused_before_any_key(monkeypatch, model_half):
+    # the chunk driver admits the run before it derives a single key: a
+    # 2^41-node CLT run and a Monte Carlo of no replicates fail at once
+    def no_keys(*args):
+        raise AssertionError("a replicate key was derived")
+
+    monkeypatch.setattr(tree_sim, "replicate_keys", no_keys)
+    with pytest.raises(ValueError, match="work limit MAX_NODES"):
+        run_clt_experiment(_config(n=40, n0=1))
+    with pytest.raises(ValueError, match="at least one replicate"):
+        monte_carlo_generation_sums({2: np.sin}, 2, 0.5, model_half, reps=0)
+    # the deepest recorded run, n=22 with n0=500, is 4.19e9 nodes
+    assert 500 * (2**23 - 1) <= MAX_NODES
 
 
 def test_single_replicate_run():

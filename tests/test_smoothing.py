@@ -9,7 +9,6 @@ from bartree.smoothing import (
     admissible_bandwidth,
     bandwidth,
     bias_term,
-    build_kernel,
     density_estimate,
     gaussian_kernel,
 )
@@ -22,51 +21,22 @@ MU_PP_HALF = 0.018389148659760431     # |mu''(-1.3)|/2 for a=0.5, sigma=1
 
 # -- kernels ------------------------------------------------------------------
 
-def test_gaussian_kernel_constants():
+def test_gaussian_kernel_constants(quad96):
+    # the declared constants, checked once against a 96-node rule: a
+    # density with vanishing first moment (order 2), ||K||_2^2 as
+    # declared, and its maximum at 0
     K = gaussian_kernel()
     assert K.order == 2.0
-    assert K.l1_norm == 1.0
     assert math.isclose(K.l2_norm_sq, K2_GAUSS, rel_tol=1e-14)
-    assert math.isclose(K.sup_norm, 1.0 / math.sqrt(2 * math.pi), rel_tol=1e-14)
-    assert math.isclose(K.evaluate(0.0), K.sup_norm, rel_tol=1e-14)
-
-
-def test_build_kernel_rejects_unnormalized():
-    with pytest.raises(ValueError, match="integrate"):
-        build_kernel(
-            name="bad",
-            evaluate=lambda u: np.exp(-0.5 * np.asarray(u) ** 2),  # missing 1/sqrt(2pi)
-            l1_norm=1.0,
-            l2_norm_sq=K2_GAUSS,
-            sup_norm=1.0,
-            order=2.0,
-        )
-
-
-def test_build_kernel_rejects_wrong_declared_norm():
-    with pytest.raises(ValueError, match="norms"):
-        build_kernel(
-            name="bad",
-            evaluate=lambda u: np.exp(-0.5 * np.asarray(u) ** 2) / math.sqrt(2 * math.pi),
-            l1_norm=1.0,
-            l2_norm_sq=0.5,
-            sup_norm=1.0,
-            order=2.0,
-        )
-
-
-def test_build_kernel_rejects_nonvanishing_moment():
-    # a shifted Gaussian integrates to 1 but has first moment 0.25
-    with pytest.raises(ValueError, match="moment"):
-        build_kernel(
-            name="shifted",
-            evaluate=lambda u: np.exp(-0.5 * (np.asarray(u) - 0.25) ** 2)
-            / math.sqrt(2 * math.pi),
-            l1_norm=1.0,
-            l2_norm_sq=K2_GAUSS,
-            sup_norm=1.0,
-            order=2.0,
-        )
+    assert abs(quad96.lebesgue(K.evaluate) - 1.0) < 1e-12
+    assert abs(quad96.lebesgue(lambda u: u * K.evaluate(u))) < 1e-12
+    assert math.isclose(quad96.lebesgue(lambda u: u**2 * K.evaluate(u)), 1.0, rel_tol=1e-12)
+    assert math.isclose(
+        quad96.lebesgue(lambda u: K.evaluate(u) ** 2), K.l2_norm_sq, rel_tol=1e-12
+    )
+    grid = np.linspace(-8.0, 8.0, 16001)
+    assert np.max(K.evaluate(grid)) == K.evaluate(0.0)
+    assert math.isclose(K.evaluate(0.0), 1.0 / math.sqrt(2 * math.pi), rel_tol=1e-14)
 
 
 # -- bandwidths ---------------------------------------------------------------
