@@ -187,14 +187,13 @@ _TEST_FUNCTIONS = {
 
 
 def cmd_moments(args) -> int:
+    if args.reps == 1:  # fewer than one is the Monte Carlo's own refusal
+        raise ValueError("the Monte Carlo standard error needs at least two replicates, got 1")
     model = BarModel(args.a, args.sigma)
     f = _TEST_FUNCTIONS[args.f]
     n, x = args.n, args.x
 
     quad = QuadratureRule.gauss_hermite(64)
-    rows = []
-    mean = mean_MGn(f, n, x, model, quad)
-    second = second_moment_MGn(f, n, x, model, quad)
     gens = {n: f}
     if args.m is not None:
         gens[args.m] = f
@@ -206,8 +205,10 @@ def cmd_moments(args) -> int:
     def mc(v):
         return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
 
-    rows.append((f"E[M_G{n}(f)]", mean, mc(vals)))
-    rows.append((f"E[M_G{n}(f)^2]", second, mc(vals**2)))
+    rows = [
+        (f"E[M_G{n}(f)]", mean_MGn(f, n, x, model, quad), mc(vals)),
+        (f"E[M_G{n}(f)^2]", second_moment_MGn(f, n, x, model, quad), mc(vals**2)),
+    ]
     if args.m is not None:
         cross = cross_moment_MGn_MGm(f, f, n, args.m, x, model, quad)
         rows.append((f"E[M_G{n}(f) M_G{args.m}(f)]", cross, mc(vals * sums[args.m])))

@@ -133,7 +133,7 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> 
     out = np.full((len(terms), reps), -0.0)
     for start in range(0, reps, chunk_size):
         stop = min(start + chunk_size, reps)
-        keys = tree_sim.replicate_keys(master_seed, range(start, stop))
+        keys = tree_sim.replicate_keys(master_seed, start, stop)
         blocks = tree_sim.generation_blocks(sample_block, keys, initial.m0, initial.rho0, n)
         carries = {}  # (term, generation) -> carry stack of its block sums
         for g, lo, states in blocks:

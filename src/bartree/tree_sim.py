@@ -5,7 +5,8 @@ replicate owns a counter-based stream derived by avalanche mixing
 (splitmix64 finalizer) of the master seed, the replicate index and the
 node's heap code 2^g + i. Trajectories are therefore bit-identical
 regardless of evaluation order, chunking or parallelism, and any node
-can be re-drawn in isolation.
+can be re-drawn in isolation. A chunk's keys come from one vectorized
+splitmix64 pass (replicate_keys); ReplicateSeed.key is the scalar spec.
 
 Stream layout within one replicate:
   * heap code 0 is reserved for the initial draw at the root,
@@ -115,9 +116,12 @@ class ReplicateSeed:
         return _mix((_mix(self.master_seed) + ((self.replicate_index + 1) * GOLDEN)) & MASK64)
 
 
-def replicate_keys(master_seed: int, replicates: Iterable[int]) -> np.ndarray:
-    """uint64 keys of the given replicate indices of `master_seed`."""
-    return np.array([ReplicateSeed(master_seed, r).key() for r in replicates], dtype=np.uint64)
+def replicate_keys(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Keys of replicates start..stop-1: ReplicateSeed.key as one vectorized splitmix64 pass."""
+    if start < 0:
+        raise ValueError("replicate_index must be non-negative")
+    r = np.arange(start, stop, dtype=np.uint64)
+    return _mix_u64(np.uint64(_mix(master_seed)) + (r + np.uint64(1)) * np.uint64(GOLDEN))
 
 
 class NodeStream:
@@ -315,7 +319,7 @@ def simulate_generations(
             f"tree depth n={n} exceeds the stored-tree limit {MAX_STORED_DEPTH} "
             f"(one tree of 2^{MAX_STORED_DEPTH + 1} - 1 values)"
         )
-    keys = replicate_keys(seed.master_seed, [seed.replicate_index])
+    keys = replicate_keys(seed.master_seed, seed.replicate_index, seed.replicate_index + 1)
 
     def assembled():
         tree = [np.empty(1 << g) for g in range(n + 1)]

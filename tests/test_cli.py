@@ -267,6 +267,8 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
           "--out", DUMP], "exceeds the work limit MAX_NODES = 8.59e+09"),
         (["moments", "--f", "id", "--n", "2", "--x", "0.5", "--a", "0.5", "--reps", "0"],
          "need at least one replicate, got 0"),
+        (["moments", "--f", "id", "--n", "2", "--x", "0.5", "--a", "0.5", "--reps", "1"],
+         "standard error needs at least two replicates, got 1"),
         (["check", "--a", "0.5", "--gamma", "0.201", "--s", "2", "--m0", "0.0"],
          "provide --m0 and --rho0 together"),
         (["clt", "--a", "0.5", "--n", "5", "--out", DUMP],
@@ -282,7 +284,7 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         "simulate_negative_n_dump", "simulate_n_too_deep", "simulate_n_too_deep_dump",
         "estimate_n_too_deep", "simulate_n_above_stored_limit",
         "simulate_n_above_stored_limit_dump", "estimate_n_above_stored_limit",
-        "clt_beyond_work_limit", "moments_zero_reps", "check_m0_without_rho0",
+        "clt_beyond_work_limit", "moments_zero_reps", "moments_one_rep", "check_m0_without_rho0",
         "clt_missing_fields", "clt_unknown_field_in_config", "clt_bad_config_line",
         "clt_missing_config_file",
     ],

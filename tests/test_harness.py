@@ -83,6 +83,32 @@ def test_work_is_refused_before_any_key(monkeypatch, model_half):
     assert 500 * (2**23 - 1) <= MAX_NODES
 
 
+def test_hot_path_derives_keys_without_the_scalar_spec(monkeypatch, model_half):
+    # _replicate_sums takes its keys from one vector pass per chunk: with
+    # the scalar ReplicateSeed.key broken, the Monte Carlo and the CLT run
+    # return the same numbers as before
+    def zetas(res):
+        return [s.zeta for s in res.samples], [s.zeta for s in res.prev_samples]
+
+    def runs():
+        sums = monte_carlo_generation_sums({1: np.cos, 3: np.sin}, 3, 0.4, model_half, 300,
+                                           master_seed=9, chunk_size=128)
+        clt = run_clt_experiment(_config(record_previous_generation=True), chunk_size=5)
+        return sums, zetas(clt)
+
+    want_sums, want_zetas = runs()
+
+    def no_scalar_key(self):
+        raise AssertionError("ReplicateSeed.key on the hot path")
+
+    monkeypatch.setattr(ReplicateSeed, "key", no_scalar_key)
+    sums, got_zetas = runs()
+    assert set(sums) == set(want_sums)
+    for g in want_sums:
+        np.testing.assert_array_equal(sums[g], want_sums[g])
+    assert got_zetas == want_zetas
+
+
 def test_single_replicate_run():
     res = run_clt_experiment(_config(n0=1))
     assert len(res.samples) == 1

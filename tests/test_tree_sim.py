@@ -91,6 +91,22 @@ def test_replicates_differ():
     assert a.uniform(0) != b.uniform(0)
 
 
+@pytest.mark.parametrize("master", [0, -1, 2**63, 2**64 + 5])
+@pytest.mark.parametrize(
+    "start, stop", [(0, 5000), (4090, 4102), (1234, 1300)], ids=["from_0", "across_4096", "mid_run"]
+)
+def test_vector_keys_match_scalar_spec(master, start, stop):
+    keys = tree_sim.replicate_keys(master, start, stop)
+    spec = [ReplicateSeed(master, r).key() for r in range(start, stop)]
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == spec
+
+
+def test_vector_keys_refuse_negative_start():
+    with pytest.raises(ValueError, match="non-negative"):
+        tree_sim.replicate_keys(0, -1, 10**12)
+
+
 def test_no_first_output_collisions_within_replicate():
     # > 10^6 node streams of one replicate: all first draws distinct
     keys = np.array([ReplicateSeed(2024, 0).key()], dtype=np.uint64)
@@ -169,7 +185,7 @@ def test_blocks_tile_generations_in_heap_order():
     # n = 20 in blocks no wider than the constants allow, which together
     # cover every generation exactly once, left to right
     rows, n, c = 3, 20, 0.75
-    keys = tree_sim.replicate_keys(0, range(rows))
+    keys = tree_sim.replicate_keys(0, 0, rows)
     cap = max(tree_sim.BLOCK_ELEMENTS // rows, tree_sim.MIN_BLOCK_WIDTH)
     covered = [0] * (n + 1)
     last_done = -1
