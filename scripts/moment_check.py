@@ -40,14 +40,12 @@ def main(argv=None):
     quad = QuadratureRule.gauss_hermite(64)
     worst = 0.0
     failed = 0
-    n_max = max(args.n)
     print(f"{'a':>4} {'f':>7} {'x':>6} {'n':>3} {'z_mean':>8} {'z_second':>9}")
     for a, x in itertools.product(args.a, args.x):
         model = BarModel(a, args.sigma)
         for fname, f in FUNCTIONS.items():
             sums = monte_carlo_generation_sums(
-                {n: f for n in args.n}, n_max, x, model, args.reps,
-                master_seed=args.seed,
+                {n: f for n in args.n}, x, model, args.reps, master_seed=args.seed
             )
             for n in args.n:
                 vals = sums[n]

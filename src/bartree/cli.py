@@ -16,7 +16,6 @@ from .bar_model import (
     stationary_initial,
 )
 from .harness import (
-    DEFAULT_CHUNK,
     config_from_dict,
     export,
     export_ecdf,
@@ -106,7 +105,7 @@ def cmd_estimate(args) -> int:
 
 
 _CONFIG_FLAG_FIELDS = (
-    "a", "sigma", "n", "gamma", "x", "n0", "kernel_name", "master_seed",
+    "a", "sigma", "n", "gamma", "x", "n0", "scope", "kernel_name", "master_seed",
     "record_previous_generation",
 )
 
@@ -144,9 +143,7 @@ def cmd_clt(args) -> int:
         val = getattr(args, name)
         if val is not None:
             fields[name] = val
-    if args.scope is not None:
-        fields["scope"] = args.scope
-    if "scope" in fields:
+    if isinstance(fields.get("scope"), str):  # config_from_dict refuses other types
         fields["scope"] = SCOPE_ALIASES.get(fields["scope"], fields["scope"])
     initial = _initial_from_args(args)
     if initial is not None:
@@ -159,8 +156,10 @@ def cmd_clt(args) -> int:
         config = config_from_dict(fields)
     except TypeError as exc:
         raise ValueError(f"bad config: {exc}")
+    if args.bins is not None and args.bins < 1:
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
 
-    result = run_clt_experiment(config, chunk_size=args.chunk_size)
+    result = run_clt_experiment(config)
     written = [export(result, "csv", args.out), export(result, "json", args.out)]
     if args.histogram:
         written.append(export_histogram(result, args.out, args.bins))
@@ -193,29 +192,23 @@ def cmd_moments(args) -> int:
     f = _TEST_FUNCTIONS[args.f]
     n, x = args.n, args.x
 
+    # the oracle first: what it refuses (n above its cost cap) costs no tree
     quad = QuadratureRule.gauss_hermite(64)
-    gens = {n: f}
-    if args.m is not None:
-        gens[args.m] = f
-    sums = monte_carlo_generation_sums(
-        gens, n, x, model, args.reps, master_seed=args.seed
-    )
-    vals = sums[n]
-
-    def mc(v):
-        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
-
-    rows = [
-        (f"E[M_G{n}(f)]", mean_MGn(f, n, x, model, quad), mc(vals)),
-        (f"E[M_G{n}(f)^2]", second_moment_MGn(f, n, x, model, quad), mc(vals**2)),
+    rows = [  # (quantity, oracle value, generations whose sums multiply)
+        (f"E[M_G{n}(f)]", mean_MGn(f, n, x, model, quad), (n,)),
+        (f"E[M_G{n}(f)^2]", second_moment_MGn(f, n, x, model, quad), (n, n)),
     ]
     if args.m is not None:
         cross = cross_moment_MGn_MGm(f, f, n, args.m, x, model, quad)
-        rows.append((f"E[M_G{n}(f) M_G{args.m}(f)]", cross, mc(vals * sums[args.m])))
+        rows.append((f"E[M_G{n}(f) M_G{args.m}(f)]", cross, (n, args.m)))
+    gens = {g: f for *_, factors in rows for g in factors}
+    sums = monte_carlo_generation_sums(gens, x, model, args.reps, master_seed=args.seed)
 
     print(f"f={args.f} a={args.a} sigma={args.sigma} x={x} reps={args.reps}")
     print(f"{'quantity':<24} {'oracle':>14} {'quad_err':>10} {'mc':>14} {'mc_se':>10} {'z':>7}")
-    for name, orc, (est, se) in rows:
+    for name, orc, factors in rows:
+        v = math.prod(sums[g] for g in factors)
+        est, se = float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
         z = (est - orc.value) / se if se > 0 else float("inf")
         print(
             f"{name:<24} {orc.value:>14.6g} {orc.quadrature_error_estimate:>10.2e} "
@@ -279,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                    action=argparse.BooleanOptionalAction, default=None)
     _add_initial_flags(p)
     p.add_argument("--out", type=str, default=".", help="output directory")
-    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK)
     p.add_argument("--histogram", action="store_true", help="also write histogram.csv")
     p.add_argument("--ecdf", action="store_true", help="also write ecdf.csv")
     p.add_argument("--bins", type=int, default=None, help="histogram bin count")

@@ -45,8 +45,6 @@ from .tree_sim import GENERATION_SCOPE
 
 KERNELS = {"gaussian": gaussian_kernel}
 
-DEFAULT_CHUNK = 125
-
 # The work limit of one run, in simulated nodes: 2^33 is about 10 min at
 # ~60 ns per node, and admits the deepest recorded run (n=22, n0=500).
 MAX_NODES = 2**33
@@ -113,9 +111,10 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> 
     block of one generation. A generation's block reductions are merged
     in numpy's pairwise order (tree_sim.merge_block_sum), so its sum is
     the reduction of the whole generation bit for bit. Replicates run
-    through the engine `chunk_size` at a time, with root law `initial`;
-    neither the chunking nor the block width changes a bit. A run of
-    no replicates, or of more than MAX_NODES nodes, is refused up front.
+    through the engine `chunk_size` at a time (None: tree_sim.chunk_rows(n),
+    the most that keeps every block within BLOCK_ELEMENTS cells), with root
+    law `initial`; neither the chunking nor the block width changes a bit.
+    A run of no replicates, or of more than MAX_NODES nodes, is refused up front.
     """
     if reps < 1:
         raise ValueError(f"need at least one replicate, got {reps}")
@@ -125,7 +124,9 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> 
             f"{reps} x (2^{n + 1} - 1) = {nodes:.3g} nodes exceeds the work "
             f"limit MAX_NODES = {MAX_NODES:.3g}"
         )
-    if chunk_size < 1:
+    if chunk_size is None:
+        chunk_size = tree_sim.chunk_rows(n)
+    elif chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     sample_block = bar_kernel(model)
     # -0.0 is the exact additive identity: a one-generation term is its
@@ -149,11 +150,12 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> 
     return out
 
 
-def run_clt_experiment(config: ExperimentConfig, chunk_size: int = DEFAULT_CHUNK) -> CltRunResult:
+def run_clt_experiment(config: ExperimentConfig, chunk_size: Optional[int] = None) -> CltRunResult:
     """Run the full CLT experiment for `config`.
 
-    `chunk_size` is the vectorization block (the parallel-partition
-    analog); results are bit-identical for any value.
+    `chunk_size` is the number of replicates simulated together, by
+    default the engine's cell budget (tree_sim.chunk_rows); results are
+    bit-identical for any value.
     """
     t0 = time.perf_counter()
     model, schedule, K, initial, report = _validate(config)
@@ -273,15 +275,14 @@ class IndependenceReport:
     degenerate: bool
 
 
-def independence_report(pairs, threshold: Optional[float] = None) -> IndependenceReport:
+def independence_report(pairs) -> IndependenceReport:
     """Pearson correlation of paired zeta samples with a 3/sqrt(n0) flag."""
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("pairs must have shape (n, 2)")
     if pairs.shape[0] < 3:
         raise ValueError("need at least 3 pairs")
-    if threshold is None:
-        threshold = 3.0 / math.sqrt(pairs.shape[0])
+    threshold = 3.0 / math.sqrt(pairs.shape[0])
     a = pairs[:, 0] - pairs[:, 0].mean()
     b = pairs[:, 1] - pairs[:, 1].mean()
     sa, sb = np.sqrt(np.sum(a * a)), np.sqrt(np.sum(b * b))
@@ -300,31 +301,27 @@ def independence_report(pairs, threshold: Optional[float] = None) -> Independenc
 
 def monte_carlo_generation_sums(
     f_by_gen: dict,
-    n: int,
     x: float,
     model: BarModel,
     reps: int,
     master_seed: int = 0,
-    chunk_size: int = 4096,
+    chunk_size: Optional[int] = None,
 ) -> dict:
     """Per-replicate M_{G_g}(f_g) = sum_{u in G_g} f_g(X_u) with the root
-    fixed at x, for every g in f_by_gen (all from the same trees).
+    fixed at x, for every g in f_by_gen, from the same trees of depth
+    max(f_by_gen); `chunk_size` is as in run_clt_experiment.
 
     This is the simulation side of the moment-oracle comparison: the
     root is deterministic because the oracle moments are conditional
     on X_root = x.
     """
-    if not f_by_gen:
-        raise ValueError("f_by_gen is empty")
-    if min(f_by_gen) < 0 or max(f_by_gen) > n:
-        raise ValueError("generations must lie in 0..n")
+    if not f_by_gen or min(f_by_gen) < 0:
+        raise ValueError(f"need generations >= 0, got {sorted(f_by_gen)}")
     model._require_noise("moment Monte Carlo")
-    generations = list(f_by_gen)
-    terms = [(range(g, g + 1), lambda s, f=f_by_gen[g]: f(s).sum(axis=1)) for g in generations]
-    sums = _replicate_sums(
-        model, GaussianInitial(float(x), 0.0), n, reps, master_seed, chunk_size, terms
-    )
-    return dict(zip(generations, sums))
+    terms = [(range(g, g + 1), lambda s, f=f: f(s).sum(axis=1)) for g, f in f_by_gen.items()]
+    root = GaussianInitial(float(x), 0.0)
+    sums = _replicate_sums(model, root, max(f_by_gen), reps, master_seed, chunk_size, terms)
+    return dict(zip(f_by_gen, sums))
 
 
 # -- exports -----------------------------------------------------------------
@@ -337,7 +334,13 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """ExperimentConfig from its fields; a scalar not of its annotated type is refused."""
     d = dict(d)
+    for name, kind in ExperimentConfig.__annotations__.items():
+        value = d.get(name)
+        kinds = (int, float) if kind is float else (kind,)  # exact: a bool is no int
+        if name in d and kind in (int, float, bool, str) and type(value) not in kinds:
+            raise ValueError(f"config field {name!r} must be {kind.__name__}, got {value!r}")
     init = d.get("initial", "stationary")
     if isinstance(init, dict):
         d["initial"] = GaussianInitial(m0=init["m0"], rho0=init["rho0"])

