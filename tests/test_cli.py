@@ -250,6 +250,8 @@ def test_missing_required_flag_exits():
 # stands for a --dump path (or a clt --out directory) inside the test's
 # own directory
 DUMP = "<dump>"
+# a JSON config with a valid run and the given "initial" object
+JSON_RUN = '{"a": 0.5, "n": 5, "gamma": 0.201, "x": -1.3, "n0": 6, "initial": %s}'
 # each stands for a --config file in the test's directory with this text;
 # MISSING_CONFIG for one that does not exist
 CONFIGS = {
@@ -260,6 +262,9 @@ CONFIGS = {
     "<list-scope>": "a=0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\nscope = [1]\n",
     "<word-bool>": "a=0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\nrecord_previous_generation = no\n",
     "<json-string-n0>": '{"a": 0.5, "n": 5, "gamma": 0.201, "x": -1.3, "n0": "4"}',
+    "<initial-no-rho0>": JSON_RUN % '{"m0": 0.0}',
+    "<initial-extra-key>": JSON_RUN % '{"m0": 0.0, "rho0": 1.0, "mean": 0.0}',
+    "<initial-word-m0>": JSON_RUN % '{"m0": "zero", "rho0": 1.0}',
 }
 MISSING_CONFIG = "<missing-config>"
 TOO_DEEP = "tree depth n=63 out of range 0..62"
@@ -311,6 +316,12 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
          "config field 'record_previous_generation' must be bool, got 'no'"),
         (["clt", "--config", "<json-string-n0>", "--out", DUMP],
          "config field 'n0' must be int, got '4'"),
+        (["clt", "--config", "<initial-no-rho0>", "--out", DUMP],
+         "config field 'initial' is missing key 'rho0'"),
+        (["clt", "--config", "<initial-extra-key>", "--out", DUMP],
+         "config field 'initial' has unknown key 'mean'"),
+        (["clt", "--config", "<initial-word-m0>", "--out", DUMP],
+         "config field 'initial.m0' must be float, got 'zero'"),
     ],
     ids=[
         "moments_m_above_n", "estimate_bad_x", "clt_n_too_deep", "simulate_negative_n",
@@ -321,6 +332,7 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         "clt_missing_fields", "clt_unknown_field_in_config", "clt_bad_config_line",
         "clt_missing_config_file", "clt_zero_bins", "clt_float_n_in_config",
         "clt_word_seed_in_config", "clt_list_scope_in_config", "clt_word_bool_in_config", "clt_string_n0_in_json_config",
+        "clt_initial_without_rho0", "clt_initial_extra_key", "clt_initial_word_m0",
     ],
 )
 def test_bad_value_is_a_usage_error(capsys, tmp_path, argv, message):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from bartree.bar_model import (
     BarModel,
@@ -331,7 +332,48 @@ def test_ks_validation():
     with pytest.raises(ValueError):
         ks_distance([0.1, 0.2], 0.0)
     with pytest.raises(ValueError):
+        ks_distance([0.1, 0.2], -1.0)
+    with pytest.raises(ValueError):
         ks_distance([], 1.0)
+
+
+def _ks_with_ndtr(samples, variance):
+    """The KS distance with scipy's Phi: the reference for the package's erfc."""
+    z = np.sort(np.asarray(samples, dtype=float))
+    F = ndtr(z / math.sqrt(variance))
+    i = np.arange(1, z.size + 1)
+    return float(max(np.max(i / z.size - F), np.max(F - (i - 1) / z.size)))
+
+
+def test_ks_agrees_with_ndtr_reference():
+    # samples of variance scale^2 * variance: a good fit, a wide and a narrow one;
+    # the two CDFs differ by at most 1 ulp of 1.0, and the distance by at most two
+    rng = np.random.default_rng(11)
+    for variance in (1e-3, VAR_GEN_A05_X13, 1.0, 9.0, 400.0):
+        for scale in (0.5, 1.0, 3.0):
+            for size in (1, 7, 500):
+                z = rng.normal(0.0, scale * math.sqrt(variance), size=size)
+                assert abs(ks_distance(z, variance) - _ks_with_ndtr(z, variance)) <= 4.5e-16
+
+
+def test_acceptance_config_outputs_are_pinned(tmp_path):
+    # the determinism contract at the headline config: these SHA-256 values
+    # have held since the one-engine refactor, whatever the chunking
+    cfg = ExperimentConfig(
+        a=0.5, sigma=1.0, n=15, gamma=0.201, x=-1.3, n0=500,
+        scope=GENERATION_SCOPE, record_previous_generation=True,
+    )
+    res = run_clt_experiment(cfg)
+    csv = export(res, "csv", str(tmp_path))
+    summary = json.load(open(export(res, "json", str(tmp_path))))
+    summary.pop("wall_time_seconds")
+    summary_bytes = (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
+    assert hashlib.sha256(open(csv, "rb").read()).hexdigest() == (
+        "0dd7af1a0cf6f2111b18f1ee142b2c8fc6573cba6d8a508fd1ee543818b6ee1f"
+    )
+    assert hashlib.sha256(summary_bytes).hexdigest() == (
+        "b582193b68438f2d740f646c6587dddcb09d9472a38f7bcd10042e63e72c3df9"
+    )
 
 
 # -- histogram -------------------------------------------------------------------
@@ -481,6 +523,27 @@ def test_config_dict_roundtrip():
 
     cfg2 = _config()
     assert config_from_dict(config_to_dict(cfg2)) == cfg2
+
+    d["initial"] = {"m0": 0, "rho0": 1}  # an int is a float, as for the scalar fields
+    assert config_from_dict(d).initial == GaussianInitial(m0=0, rho0=1)
+
+
+# the CLI's usage-error test covers a missing rho0, an unknown key and a word m0
+@pytest.mark.parametrize(
+    "initial, message",
+    [
+        ({"rho0": 1.0}, "config field 'initial' is missing key 'm0'"),
+        ({"m0": 0.0, "rho0": True}, "config field 'initial.rho0' must be float, got True"),
+        ({"m0": 0.0, "rho0": None}, "config field 'initial.rho0' must be float, got None"),
+    ],
+    ids=["no_m0", "bool_rho0", "null_rho0"],
+)
+def test_config_from_dict_refuses_bad_initial(initial, message):
+    d = config_to_dict(_config())
+    d["initial"] = initial
+    with pytest.raises(ValueError) as exc:
+        config_from_dict(d)
+    assert str(exc.value) == message
 
 
 # -- Monte Carlo generation sums ----------------------------------------------------
