@@ -62,8 +62,8 @@ class GaussianInitial:
     rho0: float
 
     def __post_init__(self):
-        if self.rho0 < 0:
-            raise ValueError("rho0 must be >= 0")
+        if not (math.isfinite(self.m0) and math.isfinite(self.rho0) and self.rho0 >= 0):
+            raise ValueError(f"need a finite m0 and rho0 >= 0, got m0={self.m0}, rho0={self.rho0}")
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,7 @@ def cmd_estimate(args) -> int:
 
 
 _CONFIG_FLAG_FIELDS = (
-    "a", "sigma", "n", "gamma", "x", "n0", "scope", "kernel_name", "master_seed",
-    "record_previous_generation",
+    "a", "sigma", "n", "gamma", "x", "n0", "scope", "master_seed", "record_previous_generation",
 )
 
 
@@ -188,6 +187,8 @@ _TEST_FUNCTIONS = {
 def cmd_moments(args) -> int:
     if args.reps == 1:  # fewer than one is the Monte Carlo's own refusal
         raise ValueError("the Monte Carlo standard error needs at least two replicates, got 1")
+    if not math.isfinite(args.x):
+        raise ValueError(f"--x must be finite, got {args.x}")
     model = BarModel(args.a, args.sigma)
     f = _TEST_FUNCTIONS[args.f]
     n, x = args.n, args.x
@@ -266,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--n0", type=int, default=None)
     p.add_argument("--scope", choices=["gen", "tree"], default=None)
-    p.add_argument("--kernel-name", dest="kernel_name", type=str, default=None)
     p.add_argument("--master-seed", dest="master_seed", type=int, default=None)
     p.add_argument("--record-previous-generation", dest="record_previous_generation",
                    action=argparse.BooleanOptionalAction, default=None)

@@ -51,6 +51,14 @@ MAX_NODES = 2**33
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One CLT run: zeta_n at x over `scope` from n0 trees of depth n, and
+    zeta_{n-1} over G_{n-1} with `record_previous_generation`.
+
+    Construction is the gate: __post_init__ refuses every config that cannot
+    run, whether built in code, by config_from_dict or by dataclasses.replace.
+    Only the work (n0 >= 1, MAX_NODES) is admitted later, by the chunk driver.
+    """
+
     a: float
     sigma: float
     n: int
@@ -62,6 +70,20 @@ class ExperimentConfig:
     master_seed: int = 0
     initial: Union[str, GaussianInitial] = "stationary"
     record_previous_generation: bool = False
+
+    def __post_init__(self):
+        BarModel(self.a, self.sigma)._require_noise("CLT experiment")
+        BandwidthSchedule(self.gamma)
+        if self.kernel_name not in KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel_name!r}")
+        tree_sim.scope_generations(self.scope, self.n)  # rejects an unknown scope
+        tree_sim.check_depth(self.n)
+        if self.record_previous_generation and self.n < 1:
+            raise ValueError("record_previous_generation needs n >= 1")
+        if self.initial != "stationary" and not isinstance(self.initial, GaussianInitial):
+            raise ValueError(f"initial must be 'stationary' or GaussianInitial: {self.initial!r}")
+        if not math.isfinite(self.x):
+            raise ValueError(f"query point x must be finite, got {self.x}")
 
 
 @dataclass(frozen=True)
@@ -75,30 +97,6 @@ class CltRunResult:
     wall_time_seconds: float
     config: ExperimentConfig
     prev_samples: Optional[List[FluctuationSample]] = None
-
-
-def _resolve_initial(config: ExperimentConfig, model: BarModel) -> GaussianInitial:
-    if config.initial == "stationary":
-        return stationary_initial(model)
-    if isinstance(config.initial, GaussianInitial):
-        return config.initial
-    raise ValueError(f"initial must be 'stationary' or GaussianInitial, got {config.initial!r}")
-
-
-def _validate(config: ExperimentConfig):
-    model = BarModel(config.a, config.sigma)
-    model._require_noise("CLT experiment")
-    schedule = BandwidthSchedule(config.gamma)
-    if config.kernel_name not in KERNELS:
-        raise ValueError(f"unknown kernel {config.kernel_name!r}")
-    K = KERNELS[config.kernel_name]()
-    tree_sim.scope_generations(config.scope, config.n)  # rejects an unknown scope
-    tree_sim.check_depth(config.n)
-    if config.record_previous_generation and config.n < 1:
-        raise ValueError("record_previous_generation needs n >= 1")
-    initial = _resolve_initial(config, model)
-    report = admissible_bandwidth(schedule, K.order, model.alpha)
-    return model, schedule, K, initial, report
 
 
 def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> np.ndarray:
@@ -157,58 +155,42 @@ def run_clt_experiment(config: ExperimentConfig, chunk_size: Optional[int] = Non
     bit-identical for any value.
     """
     t0 = time.perf_counter()
-    model, schedule, K, initial, report = _validate(config)
+    model = BarModel(config.a, config.sigma)
+    schedule = BandwidthSchedule(config.gamma)
+    K = KERNELS[config.kernel_name]()
+    initial = stationary_initial(model) if config.initial == "stationary" else config.initial
+    mu_x = invariant_density(config.x, model)
+    limit = theoretical_limit(config.x, K, model)
 
-    n, x = config.n, config.x
-    h_n = bandwidth(n, schedule)
-    mu_x = invariant_density(x, model)
-    limit = theoretical_limit(x, K, model)
-    card_main = tree_sim.scope_size(config.scope, n)
-    terms = [(tree_sim.scope_generations(config.scope, n), lambda s: parzen_sum(K, x, s, h_n))]
-    record_prev = config.record_previous_generation
-    if record_prev:
-        h_prev = bandwidth(n - 1, schedule)
-        card_prev = tree_sim.scope_size(GENERATION_SCOPE, n - 1)
-        terms.append((
-            tree_sim.scope_generations(GENERATION_SCOPE, n - 1),
-            lambda s: parzen_sum(K, x, s, h_prev),
-        ))
-    sums = _replicate_sums(model, initial, n, config.n0, config.master_seed, chunk_size, terms)
-    zetas = zeta(sums[0] / (card_main * h_n), mu_x, card_main, h_n)
-    if record_prev:
-        zetas_prev = zeta(sums[1] / (card_prev * h_prev), mu_x, card_prev, h_prev)
-
-    def as_samples(zs, scope, generation):
-        return [
-            FluctuationSample(
-                zeta=float(z),
-                scope=scope,
-                n=generation,
-                gamma=config.gamma,
-                x=x,
-                replicate_index=r,
-                seed=config.master_seed,
-            )
-            for r, z in enumerate(zs)
-        ]
-
-    samples = as_samples(zetas, config.scope, n)
-    prev_samples = as_samples(zetas_prev, GENERATION_SCOPE, n - 1) if record_prev else None
-
-    ks = ks_distance(zetas, limit.variance)
-    mean = float(np.mean(zetas))
-    var = float(np.var(zetas, ddof=1)) if config.n0 > 1 else 0.0
-
+    # (scope, depth) of each statistic: zeta_n over A_n, then zeta_{n-1} over G_{n-1}
+    stats = [(config.scope, config.n)]
+    if config.record_previous_generation:
+        stats.append((GENERATION_SCOPE, config.n - 1))
+    hs = [bandwidth(g, schedule) for _, g in stats]
+    terms = [  # h=h: each term binds its own bandwidth
+        (tree_sim.scope_generations(scope, g), lambda s, h=h: parzen_sum(K, config.x, s, h))
+        for (scope, g), h in zip(stats, hs)
+    ]
+    sums = _replicate_sums(model, initial, config.n, config.n0, config.master_seed,
+                           chunk_size, terms)
+    zetas, samples = [], []
+    for (scope, g), h, row in zip(stats, hs, sums):
+        card = tree_sim.scope_size(scope, g)
+        zetas.append(zeta(row / (card * h), mu_x, card, h))
+        samples.append([
+            FluctuationSample(float(z), scope, g, config.gamma, config.x, r, config.master_seed)
+            for r, z in enumerate(zetas[-1])
+        ])
     return CltRunResult(
-        samples=samples,
+        samples=samples[0],
         theoretical=limit,
-        ks_distance=ks,
-        sample_mean=mean,
-        sample_variance=var,
-        admissibility=report,
+        ks_distance=ks_distance(zetas[0], limit.variance),
+        sample_mean=float(np.mean(zetas[0])),
+        sample_variance=float(np.var(zetas[0], ddof=1)) if config.n0 > 1 else 0.0,
+        admissibility=admissible_bandwidth(schedule, K.order, model.alpha),
         wall_time_seconds=time.perf_counter() - t0,
         config=config,
-        prev_samples=prev_samples,
+        prev_samples=samples[1] if len(samples) > 1 else None,
     )
 
 
@@ -388,9 +370,10 @@ def export(result: CltRunResult, format: str, path: str) -> str:
             "admissible": result.admissibility.admissible,
             "wall_time_seconds": result.wall_time_seconds,
         }
+        # strict JSON: a non-finite value raises before the file is opened
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
         with open(out, "w", newline="") as fh:
-            fh.write(json.dumps(summary, indent=2, sort_keys=True))
-            fh.write("\n")
+            fh.write(text + "\n")
         return out
     raise ValueError(f"unknown export format {format!r}")
 

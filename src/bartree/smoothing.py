@@ -120,6 +120,8 @@ def density_estimate(sample, x_points, h: float, K: SmoothingKernel):
     if not np.all(np.isfinite(sample)):
         raise ValueError("sample contains non-finite values")
     xq = np.asarray(x_points, dtype=float)
+    if not np.all(np.isfinite(xq)):
+        raise ValueError("query points contain non-finite values")
     scalar = xq.ndim == 0
     xq1 = np.atleast_1d(xq)
     acc = np.zeros(xq1.shape, dtype=float)

@@ -46,8 +46,10 @@ def test_degenerate_sigma_zero():
 
 
 def test_gaussian_initial_validation():
-    with pytest.raises(ValueError):
-        GaussianInitial(0.0, -1.0)
+    for m0, rho0 in [(0.0, -1.0), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf),
+                     (0.0, math.nan)]:
+        with pytest.raises(ValueError):
+            GaussianInitial(m0, rho0)
     assert GaussianInitial(2.0, 0.0).rho0 == 0.0  # point mass allowed
 
 

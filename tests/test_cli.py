@@ -265,7 +265,10 @@ CONFIGS = {
     "<initial-no-rho0>": JSON_RUN % '{"m0": 0.0}',
     "<initial-extra-key>": JSON_RUN % '{"m0": 0.0, "rho0": 1.0, "mean": 0.0}',
     "<initial-word-m0>": JSON_RUN % '{"m0": "zero", "rho0": 1.0}',
+    "<json-nan-x>": '{"a": 0.5, "n": 5, "gamma": 0.201, "x": NaN, "n0": 6}',
+    "<initial-nan-m0>": JSON_RUN % '{"m0": NaN, "rho0": 1.0}',
 }
+CLT_RUN = ["clt", "--a", "0.5", "--n", "5", "--gamma", "0.201", "--n0", "6", "--out", DUMP]
 MISSING_CONFIG = "<missing-config>"
 TOO_DEEP = "tree depth n=63 out of range 0..62"
 TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
@@ -322,6 +325,18 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
          "config field 'initial' has unknown key 'mean'"),
         (["clt", "--config", "<initial-word-m0>", "--out", DUMP],
          "config field 'initial.m0' must be float, got 'zero'"),
+        ([*CLT_RUN, "--x=nan"], "query point x must be finite, got nan"),
+        ([*CLT_RUN, "--x=inf"], "query point x must be finite, got inf"),
+        ([*CLT_RUN, "--x=-1.3", "--m0", "0", "--rho0", "inf"],
+         "need a finite m0 and rho0 >= 0, got m0=0.0, rho0=inf"),
+        (["clt", "--config", "<json-nan-x>", "--out", DUMP],
+         "query point x must be finite, got nan"),
+        (["clt", "--config", "<initial-nan-m0>", "--out", DUMP],
+         "need a finite m0 and rho0 >= 0, got m0=nan, rho0=1.0"),
+        (["estimate", "--a", "0.5", "--n", "4", "--gamma", "0.2", "--x=0.0,nan"],
+         "query points contain non-finite values"),
+        (["moments", "--f", "id", "--n", "2", "--x", "nan", "--a", "0.5"],
+         "--x must be finite, got nan"),
     ],
     ids=[
         "moments_m_above_n", "estimate_bad_x", "clt_n_too_deep", "simulate_negative_n",
@@ -333,6 +348,8 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         "clt_missing_config_file", "clt_zero_bins", "clt_float_n_in_config",
         "clt_word_seed_in_config", "clt_list_scope_in_config", "clt_word_bool_in_config", "clt_string_n0_in_json_config",
         "clt_initial_without_rho0", "clt_initial_extra_key", "clt_initial_word_m0",
+        "clt_nan_x", "clt_inf_x", "clt_inf_rho0", "clt_nan_x_in_json_config",
+        "clt_nan_initial_in_json_config", "estimate_nan_x", "moments_nan_x",
     ],
 )
 def test_bad_value_is_a_usage_error(capsys, tmp_path, argv, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -49,24 +50,36 @@ def _config(**kw):
 # -- config validation ---------------------------------------------------------
 
 def test_config_validation_errors():
+    # the config refuses itself at construction; only the work waits for a run
     with pytest.raises(ValueError, match="kernel"):
-        run_clt_experiment(_config(kernel_name="epanechnikov"))
+        _config(kernel_name="epanechnikov")
     with pytest.raises(ValueError, match="scope"):
-        run_clt_experiment(_config(scope="forest"))
+        _config(scope="forest")
     with pytest.raises(ValueError):
         run_clt_experiment(_config(n0=0))
     with pytest.raises(ValueError):
-        run_clt_experiment(_config(n=-1))
+        _config(n=-1)
     with pytest.raises(ValueError):
-        run_clt_experiment(_config(n=63))
+        _config(n=63)
     with pytest.raises(ValueError):
-        run_clt_experiment(_config(gamma=1.0))
+        _config(gamma=1.0)
     with pytest.raises(ValueError):
-        run_clt_experiment(_config(sigma=0.0))
+        _config(sigma=0.0)
     with pytest.raises(ValueError, match="record"):
-        run_clt_experiment(_config(n=0, record_previous_generation=True))
+        _config(n=0, record_previous_generation=True)
     with pytest.raises(ValueError, match="initial"):
-        run_clt_experiment(_config(initial="point_mass"))
+        _config(initial="point_mass")
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_is_refused_at_construction(x):
+    # every way of building a config passes the same gate
+    with pytest.raises(ValueError, match="query point x must be finite"):
+        _config(x=x)
+    with pytest.raises(ValueError, match="query point x must be finite"):
+        dataclasses.replace(_config(), x=x)
+    with pytest.raises(ValueError, match="query point x must be finite"):
+        config_from_dict(dict(config_to_dict(_config()), x=x))
 
 
 def test_work_is_refused_before_any_key(monkeypatch, model_half):
@@ -483,6 +496,14 @@ def test_export_json_roundtrip(tiny_run, tmp_path):
     summary.pop("wall_time_seconds")
     s2.pop("wall_time_seconds")
     assert summary == s2
+
+
+def test_export_json_is_strict(tiny_run, tmp_path):
+    # a non-finite value raises instead of writing a NaN token
+    bad = dataclasses.replace(tiny_run, ks_distance=float("nan"))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        export(bad, "json", str(tmp_path))
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_export_unknown_format(tiny_run, tmp_path):

@@ -91,6 +91,15 @@ def test_admissibility_input_validation():
 
 # -- estimator ----------------------------------------------------------------
 
+def test_density_estimate_refuses_non_finite_values():
+    K = gaussian_kernel()
+    with pytest.raises(ValueError, match="sample contains non-finite"):
+        density_estimate(np.array([0.1, math.nan]), 0.0, 0.5, K)
+    for xq in (math.nan, np.array([0.0, math.inf])):
+        with pytest.raises(ValueError, match="query points contain non-finite"):
+            density_estimate(np.array([0.1, 0.2]), xq, 0.5, K)
+
+
 def test_density_estimate_single_point():
     K = gaussian_kernel()
     got = density_estimate(np.array([0.4]), 0.4, 0.5, K)
