@@ -94,6 +94,8 @@ def cmd_estimate(args) -> int:
     members = scope_generations(SCOPE_ALIASES[args.scope], args.n)
     h = bandwidth(args.n, BandwidthSchedule(args.gamma))
     xs = np.array([float(tok) for tok in args.x.split(",")])
+    if not np.all(np.isfinite(xs)):  # before the tree is simulated and stored
+        raise ValueError("query points contain non-finite values")
     sample = np.concatenate(
         [buf.states for buf in _single_tree(args) if buf.generation in members]
     )

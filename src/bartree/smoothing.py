@@ -109,8 +109,9 @@ def parzen_sum(K: SmoothingKernel, x, sample, h: float):
 def density_estimate(sample, x_points, h: float, K: SmoothingKernel):
     """mu_hat at each query point: |sample|^{-1} h^{-d} sum K((x - X_u)/h).
 
-    One pass over the sample (sample-major, chunked): the sample is the
-    large axis, queries are few.
+    One pass over the sample in chunks of 2^16, each chunk summed for one
+    query point at a time: working memory is O(chunk) whatever the number
+    of query points.
     """
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
@@ -128,7 +129,8 @@ def density_estimate(sample, x_points, h: float, K: SmoothingKernel):
     chunk = 1 << 16
     for start in range(0, sample.size, chunk):
         block = sample[start : start + chunk]
-        acc += parzen_sum(K, xq1[:, None], block[None, :], h)
+        for j, xj in enumerate(xq1):
+            acc[j] += parzen_sum(K, xj, block, h)
     out = acc / (sample.size * h)
     return float(out[0]) if scalar else out
 

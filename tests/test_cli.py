@@ -222,6 +222,21 @@ def test_moments_asks_the_oracle_before_simulating(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_estimate_refuses_a_non_finite_point_before_simulating(capsys, monkeypatch):
+    # the query points are checked before a tree of 2^21 - 1 states is stored
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the tree was simulated")
+
+    monkeypatch.setattr(cli, "simulate_generations", no_simulation)
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--a", "0.5", "--n", "20", "--gamma", "0.2", "--x=nan"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("bartree: error: ") == 1
+    assert "query points contain non-finite values" in captured.err.splitlines()[-1]
+    assert captured.out == ""
+
+
 def test_moments_without_cross(capsys):
     code, out = run_cli(
         capsys, "moments", "--f", "one", "--n", "3", "--x", "0.0", "--a", "0.7",

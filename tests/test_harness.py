@@ -35,6 +35,7 @@ from bartree.harness import (
     run_clt_experiment,
 )
 from bartree import tree_sim
+from bartree.cli import main
 from bartree.smoothing import BandwidthSchedule, bandwidth, gaussian_kernel
 from bartree.tree_sim import GENERATION_SCOPE, TREE_SCOPE, NodeAddress, ReplicateSeed
 
@@ -387,6 +388,29 @@ def test_acceptance_config_outputs_are_pinned(tmp_path):
     assert hashlib.sha256(summary_bytes).hexdigest() == (
         "b582193b68438f2d740f646c6587dddcb09d9472a38f7bcd10042e63e72c3df9"
     )
+
+
+def test_single_tree_and_moments_outputs_are_pinned(tmp_path, capsys):
+    # the determinism contract on the CLI's other paths: one stored tree,
+    # the density estimate on it and the moment Monte Carlo table; these
+    # SHA-256 values have held since the one-engine refactor
+    dump = tmp_path / "tree.csv"
+    assert main(["simulate", "--a", "0.5", "--n", "15", "--seed", "7", "--dump", str(dump)]) == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "cb718b629c7b8e56a357be8f65900c64588ee75414ed945e762e0e3816103fd4"
+    )
+    capsys.readouterr()
+    runs = [
+        (["estimate", "--a", "0.5", "--n", "15", "--gamma", "0.201", "--scope", "tree",
+          "--x=-1.3,0.0,1.3", "--seed", "7"],
+         "6453c6c7b4be7b4b38e0a3908d24e916280f5c882891dc1fee4873566109de78"),
+        (["moments", "--f", "square", "--n", "3", "--m", "2", "--x", "0.4", "--a", "0.5",
+          "--reps", "100000"],
+         "6ea939515984c12f6eb1d6334ee82b697e1f9e67dd9b00df7fe003fd40577cdf"),
+    ]
+    for argv, digest in runs:
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # -- histogram -------------------------------------------------------------------

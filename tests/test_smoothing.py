@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bartree.bar_model import BarModel, invariant_density
 from bartree.smoothing import (
@@ -17,6 +20,7 @@ H15_G0201 = 0.123707082051900862      # 2^{-15*0.201}
 GAMMA_LB_A09 = 0.695993813109900030   # 1 + log2(0.81)
 K2_GAUSS = 0.282094791773878143       # (2 sqrt(pi))^{-1}
 MU_PP_HALF = 0.018389148659760431     # |mu''(-1.3)|/2 for a=0.5, sigma=1
+CHUNK = 1 << 16                       # density_estimate's sample chunk
 
 
 # -- kernels ------------------------------------------------------------------
@@ -140,6 +144,41 @@ def test_density_estimate_chunking_is_invisible():
     K = gaussian_kernel()
     whole = density_estimate(sample, 0.1, 0.2, K)
     assert math.isfinite(whole) and whole > 0
+
+
+def _peak_bytes(sample, xs):
+    tracemalloc.start()
+    try:
+        density_estimate(sample, xs, 0.3, gaussian_kernel())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_density_estimate_memory_does_not_grow_with_query_points():
+    # the working set is one chunk of the sample, whatever the number of points
+    sample = np.random.default_rng(5).normal(size=CHUNK)
+    one = _peak_bytes(sample, 0.0)
+    many = _peak_bytes(sample, np.linspace(-3.0, 3.0, 64))
+    assert many <= 2 * one
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    size=st.integers(1, 40)
+    | st.integers(CHUNK - 3, CHUNK + 3)
+    | st.integers(2 * CHUNK - 1, 2 * CHUNK + 1),
+    points=st.integers(1, 9),
+    h=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_density_estimate_vector_matches_scalar_bitwise(size, points, h, seed):
+    rng = np.random.default_rng(seed)
+    sample = rng.normal(size=size)
+    xs = rng.normal(size=points)
+    K = gaussian_kernel()
+    vector = density_estimate(sample, xs, h, K)
+    assert [float(v) for v in vector] == [density_estimate(sample, float(x), h, K) for x in xs]
 
 
 def test_density_estimate_errors():
