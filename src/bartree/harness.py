@@ -6,17 +6,18 @@ configured scope, turns each estimate into the fluctuation statistic
 zeta, and compares the n0 zeta samples against the theoretical Gaussian
 limit through the Kolmogorov-Smirnov distance.
 
-Replicates are simulated in vectorized chunks, and each chunk's trees in
-column blocks. Every random draw is a pure function of (master seed,
+A large run splits its replicates into one range per usable CPU, all but the
+first in forked workers, a range into vectorized chunks and a chunk's trees
+into column blocks. Every random draw is a pure function of (master seed,
 replicate index, node address), and block sums are merged in numpy's
-pairwise order, so the chunk size, block width, execution order and any
-parallel partitioning cannot change the output: the determinism contract
-is bit-identical results for a given config.
+pairwise order, so the worker count, chunk size, block width and execution
+order cannot change a bit of the output for a given config.
 """
 
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Union
@@ -44,9 +45,13 @@ from .tree_sim import GENERATION_SCOPE
 
 KERNELS = {"gaussian": gaussian_kernel}
 
-# The work limit of one run, in simulated nodes: 2^33 is about 10 min at
-# ~60 ns per node, and admits the deepest recorded run (n=22, n0=500).
+# The work limit of one run, in simulated nodes: 2^33 is about 10 min of
+# one CPU at ~60 ns per node, and admits the deepest recorded run (n=22, n0=500).
 MAX_NODES = 2**33
+
+# The smallest run split across worker processes: 2^22 nodes take about
+# 0.2 s on one CPU, against about 4 ms to fork, feed and reap a worker.
+FORK_NODES = 2**22
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,7 @@ class CltRunResult:
     prev_samples: Optional[List[FluctuationSample]] = None
 
 
-def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> np.ndarray:
+def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms, workers=None):
     """Per-replicate scope sums over trees 0..reps-1 of `master_seed`.
 
     Each term is (generations, reduce): row t of the (len(terms), reps)
@@ -110,8 +115,10 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> 
     the reduction of the whole generation bit for bit. Replicates run
     through the engine `chunk_size` at a time (None: tree_sim.chunk_rows(n),
     the most that keeps every block within BLOCK_ELEMENTS cells), with root
-    law `initial`; neither the chunking nor the block width changes a bit.
-    A run of no replicates, or of more than MAX_NODES nodes, is refused up front.
+    law `initial`, in `workers` contiguous ranges (None: one per usable CPU
+    from FORK_NODES nodes up), all but the first in forked children; neither
+    split, chunking nor block width changes a bit. A run of no replicates,
+    or of more than MAX_NODES nodes, is refused up front.
     """
     if reps < 1:
         raise ValueError(f"need at least one replicate, got {reps}")
@@ -129,21 +136,64 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms) -> 
     # -0.0 is the exact additive identity: a one-generation term is its
     # reduction bit for bit
     out = np.full((len(terms), reps), -0.0)
-    for start in range(0, reps, chunk_size):
-        stop = min(start + chunk_size, reps)
-        keys = tree_sim.replicate_keys(master_seed, start, stop)
-        blocks = tree_sim.generation_blocks(sample_block, keys, initial.m0, initial.rho0, n)
-        carries = {}  # (term, generation) -> carry stack of its block sums
-        for g, lo, states in blocks:
-            complete = lo + states.shape[1] == 1 << g
-            for t, (generations, reduce) in enumerate(terms):
-                if g in generations:
-                    stack = carries.setdefault((t, g), [])
-                    tree_sim.merge_block_sum(stack, reduce(states))
-                    # generations complete in ascending order, so each row
-                    # adds them up as a breadth-first pass would
-                    if complete:
-                        out[t, start:stop] += carries.pop((t, g))[0][1]
+
+    def fill(first, last):
+        for start in range(first, last, chunk_size):
+            stop = min(start + chunk_size, last)
+            keys = tree_sim.replicate_keys(master_seed, start, stop)
+            blocks = tree_sim.generation_blocks(sample_block, keys, initial.m0, initial.rho0, n)
+            carries = {}  # (term, generation) -> carry stack of its block sums
+            for g, lo, states in blocks:
+                complete = lo + states.shape[1] == 1 << g
+                for t, (generations, reduce) in enumerate(terms):
+                    if g in generations:
+                        stack = carries.setdefault((t, g), [])
+                        tree_sim.merge_block_sum(stack, reduce(states))
+                        # generations complete in ascending order, so each row
+                        # adds them up as a breadth-first pass would
+                        if complete:
+                            out[t, start:stop] += carries.pop((t, g))[0][1]
+        return out[:, first:last]
+
+    if workers is None:  # one per usable CPU for a large run, in a process that may fork
+        may_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+        if may_fork and nodes >= FORK_NODES and threading.active_count() == 1:
+            workers = len(os.sched_getaffinity(0))
+    workers = min(workers or 1, reps)
+    bounds = [reps * w // workers for w in range(workers + 1)]
+    children = {}  # pid -> (first, last, read end of its pipe)
+    try:
+        for first, last in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves only by os._exit: no exit handler, no flush
+                code = 1
+                try:
+                    with open(write_fd, "wb") as pipe:
+                        try:
+                            pipe.write(fill(first, last).tobytes())
+                            code = 0
+                        except BaseException as exc:
+                            pipe.write(f"{type(exc).__name__}: {exc}".encode())
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[pid] = (first, last, open(read_fd, "rb"))
+        fill(bounds[0], bounds[1])
+        for pid, (first, last, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code or len(data) != out[:, first:last].nbytes:
+                raise RuntimeError(f"worker for replicates {first}..{last - 1} exited with "
+                                   f"status {code}: {data.decode(errors='replace')[:300]}")
+            out[:, first:last] = np.frombuffer(data).reshape(-1, last - first)
+    finally:
+        for pid, (_, _, pipe) in children.items():  # left only by an error
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            pipe.close()
     return out
 
 

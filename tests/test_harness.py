@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,7 @@ from bartree.harness import (
     monte_carlo_generation_sums,
     run_clt_experiment,
 )
-from bartree import tree_sim
+from bartree import harness, tree_sim
 from bartree.cli import main
 from bartree.smoothing import BandwidthSchedule, bandwidth, gaussian_kernel
 from bartree.tree_sim import GENERATION_SCOPE, TREE_SCOPE, NodeAddress, ReplicateSeed
@@ -188,6 +190,114 @@ def test_chunk_size_is_invisible(forced_block_widths):
     for width in itertools.chain(["default"], forced_block_widths()):
         for chunk in (1, 7, 125, 500):
             assert zetas(chunk) == ref, (width, chunk)
+
+
+def _sin_sums(model, reduce=lambda s: np.sin(s).sum(axis=1), **kw):
+    """_replicate_sums over generation 3 of 12 replicates rooted at 0.4."""
+    return harness._replicate_sums(model, GaussianInitial(0.4, 0.0), 3, 12, 5, None,
+                                   [(range(3, 4), reduce)], **kw)
+
+
+def test_worker_count_is_invisible(monkeypatch, forced_block_widths, model_half):
+    # nor the number of forked workers, down to one replicate each: a
+    # replicate's sums depend on its key alone, on the CLT path (tree scope
+    # and the previous generation) and on the moment path alike
+    config = _config(n=9, scope=TREE_SCOPE, record_previous_generation=True)
+    split = harness._replicate_sums
+
+    def outputs(workers, chunk):
+        monkeypatch.setattr(harness, "_replicate_sums", functools.partial(split, workers=workers))
+        r = run_clt_experiment(config, chunk_size=chunk)
+        sums = monte_carlo_generation_sums({1: np.cos, 9: np.sin}, 0.4, model_half,
+                                           config.n0, master_seed=5, chunk_size=chunk)
+        return [s.zeta for s in r.samples], [s.zeta for s in r.prev_samples], [
+            sums[g].tobytes() for g in (1, 9)]
+
+    ref = outputs(1, None)
+    for width in itertools.chain(["default"], forced_block_widths()):
+        for workers, chunk in itertools.product((1, 2, 3, config.n0 + 1), (None, 1, 7)):
+            assert outputs(workers, chunk) == ref, (width, workers, chunk)
+
+
+def test_forked_default_path_reproduces_the_pinned_outputs(monkeypatch, tmp_path, capsys):
+    # with the threshold lowered and three CPUs reported, the default path
+    # splits even the moment Monte Carlo three ways, and every pinned byte holds
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(harness, "FORK_NODES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    test_acceptance_config_outputs_are_pinned(tmp_path)
+    assert len(forks) == 2
+    test_single_tree_and_moments_outputs_are_pinned(tmp_path, capsys)
+    assert len(forks) == 4
+
+
+def test_small_runs_and_threaded_callers_stay_serial(monkeypatch, model_half):
+    # a fork costs more than it saves below FORK_NODES, and is unsafe beside
+    # another thread or impossible without os.fork; the moment workload and
+    # the benchmark's 6-replicate determinism re-run stay below the threshold
+    assert 100_000 * (2**4 - 1) < harness.FORK_NODES
+    assert 6 * (2**16 - 1) < harness.FORK_NODES <= 500 * (2**16 - 1)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    want = _sin_sums(model_half, workers=1)
+    np.testing.assert_array_equal(_sin_sums(model_half), want)
+    monkeypatch.setattr(harness, "FORK_NODES", 1)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        np.testing.assert_array_equal(_sin_sums(model_half), want)
+    finally:
+        stop.set()
+        other.join()
+    monkeypatch.delattr(os, "fork")
+    np.testing.assert_array_equal(_sin_sums(model_half), want)
+
+
+@pytest.mark.parametrize("failing, error, message", [
+    ("child", RuntimeError,
+     r"worker for replicates 4\.\.7 exited with status 1: ArithmeticError: no sum here$"),
+    ("parent", ArithmeticError, "no sum here"),
+], ids=["child", "parent"])
+def test_a_failed_range_raises_and_reaps_every_child(model_half, capfd, failing, error, message):
+    # replicates 0..3 run here and 4..7, 8..11 in two children: whichever
+    # side fails, the call raises, no child is left, and no child wrote a byte
+    parent = os.getpid()
+
+    def reduce(states):
+        if (os.getpid() != parent) == (failing == "child"):
+            raise ArithmeticError("no sum here")
+        return states.sum(axis=1)
+
+    with pytest.raises(error, match=message):
+        _sin_sums(model_half, reduce, workers=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_workers_leave_without_flushing_the_callers_buffers(model_half, tmp_path):
+    # a child leaves through os._exit: it runs no exit handler and does not
+    # write out the caller's unflushed buffers a second time
+    log = open(tmp_path / "log", "a")
+    log.write("once\n")
+    try:
+        _sin_sums(model_half, workers=3)
+    finally:
+        log.close()
+    assert (tmp_path / "log").read_text() == "once\n"
 
 
 def test_chunk_rows_fit_the_block_budget():
