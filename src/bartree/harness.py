@@ -12,8 +12,20 @@ into column blocks. Every random draw is a pure function of (master seed,
 replicate index, node address), and block sums are merged in numpy's
 pairwise order, so the worker count, chunk size, block width and execution
 order cannot change a bit of the output for a given config.
+
+A process that runs the chunk driver keeps the memory it frees. Each block
+step allocates and frees about a dozen 128 KiB temporaries; glibc's malloc
+would hand them back to the kernel (trim threshold) or map them afresh (mmap
+threshold), and the next step would fault every page back in. Before its
+first chunk the driver raises both thresholds, once per process, and forked
+workers inherit them; the trim threshold alone would turn off glibc's
+adaptive mmap threshold and fault more. The cost: after a run a process
+keeps up to 64 MiB of freed heap; peak resident memory does not rise. This
+applies to glibc only: where the C library has no mallopt, nothing is set.
 """
 
+import ctypes
+import functools
 import json
 import math
 import os
@@ -50,8 +62,30 @@ KERNELS = {"gaussian": gaussian_kernel}
 MAX_NODES = 2**33
 
 # The smallest run split across worker processes: 2^22 nodes take about
-# 0.2 s on one CPU, against about 4 ms to fork, feed and reap a worker.
+# 0.2 s on one CPU, while each process of a split run takes about 1,000
+# copy-on-write page faults; a two-way split of a 100k-replicate n = 1 run
+# took 20 ms against 10 ms serial.
 FORK_NODES = 2**22
+
+# glibc malloc thresholds set by _keep_freed_memory: allocations below
+# MALLOC_MMAP_THRESHOLD come from the heap, and the heap keeps up to
+# MALLOC_TRIM_THRESHOLD of free memory at its top.
+MALLOC_MMAP_THRESHOLD = 32 << 20
+MALLOC_TRIM_THRESHOLD = 64 << 20
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Raise glibc's mmap and trim thresholds (module docstring); a no-op
+    where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library by None
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, MALLOC_MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+    mallopt(-1, MALLOC_TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -118,7 +152,8 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms, wor
     law `initial`, in `workers` contiguous ranges (None: one per usable CPU
     from FORK_NODES nodes up), all but the first in forked children; neither
     split, chunking nor block width changes a bit. A run of no replicates,
-    or of more than MAX_NODES nodes, is refused up front.
+    or of more than MAX_NODES nodes, is refused up front; an admitted run
+    first makes this process keep the memory it frees (_keep_freed_memory).
     """
     if reps < 1:
         raise ValueError(f"need at least one replicate, got {reps}")
@@ -132,6 +167,7 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms, wor
         chunk_size = tree_sim.chunk_rows(n)
     elif chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    _keep_freed_memory()
     sample_block = bar_kernel(model)
     # -0.0 is the exact additive identity: a one-generation term is its
     # reduction bit for bit

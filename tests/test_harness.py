@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -266,19 +267,22 @@ def test_small_runs_and_threaded_callers_stay_serial(monkeypatch, model_half):
     np.testing.assert_array_equal(_sin_sums(model_half), want)
 
 
-@pytest.mark.parametrize("failing, error, message", [
-    ("child", RuntimeError,
+@pytest.mark.parametrize("failing, raised, error, message", [
+    ("child", ArithmeticError, RuntimeError,
      r"worker for replicates 4\.\.7 exited with status 1: ArithmeticError: no sum here$"),
-    ("parent", ArithmeticError, "no sum here"),
-], ids=["child", "parent"])
-def test_a_failed_range_raises_and_reaps_every_child(model_half, capfd, failing, error, message):
+    ("parent", ArithmeticError, ArithmeticError, "no sum here"),
+    ("parent", KeyboardInterrupt, KeyboardInterrupt, "no sum here"),
+], ids=["child", "parent", "interrupt"])
+def test_a_failed_range_raises_and_reaps_every_child(model_half, capfd, failing, raised, error,
+                                                     message):
     # replicates 0..3 run here and 4..7, 8..11 in two children: whichever
-    # side fails, the call raises, no child is left, and no child wrote a byte
+    # side fails, even by an interrupt in the caller's range, the call
+    # raises, no child is left, and neither side wrote a byte
     parent = os.getpid()
 
     def reduce(states):
         if (os.getpid() != parent) == (failing == "child"):
-            raise ArithmeticError("no sum here")
+            raise raised("no sum here")
         return states.sum(axis=1)
 
     with pytest.raises(error, match=message):
@@ -326,11 +330,22 @@ def test_default_chunk_keeps_blocks_in_budget(monkeypatch, model_half):
     assert cells and max(cells) <= tree_sim.BLOCK_ELEMENTS, max(cells)
 
 
+def _fresh_python(code):
+    """Standard output of `code`, run by a fresh interpreter that imports
+    bartree from this checkout, so that no other test's state counts."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_deep_run_memory_is_bounded():
     # n = 22: a breadth-first engine holds generations of 2^22 columns and
     # peaks above 300 MB; in column blocks the run stays near the
-    # interpreter's own footprint. A fresh process, so that no other
-    # test's peak counts.
+    # interpreter's own footprint
     code = (
         "import resource\n"
         "from bartree.harness import ExperimentConfig, run_clt_experiment\n"
@@ -338,14 +353,31 @@ def test_deep_run_memory_is_bounded():
         " n0=2, scope='tree_n', record_previous_generation=True))\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    peak_mb = int(_fresh_python(code)) / 1024  # ru_maxrss is in KiB on Linux
     assert peak_mb < 150, peak_mb
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's")
+def test_block_steps_do_not_fault_their_temporaries_back_in():
+    # glibc returns the freed block temporaries to the kernel by default,
+    # and the next step faults them back in: about 45,000 minor faults for
+    # the second pass below. The driver keeps them, so once a warm-up pass
+    # has grown the heap, another pass takes almost none.
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from bartree import harness\n"
+        "from bartree.bar_model import BarModel, GaussianInitial\n"
+        "def run():\n"
+        "    harness._replicate_sums(BarModel(0.5, 1.0), GaussianInitial(0.0, 1.0), 15, 256, 3,"
+        " None, [(range(15, 16), lambda s: np.sin(s).sum(axis=1))], workers=1)\n"
+        "run()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "run()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    faults = int(_fresh_python(code))
+    assert faults < 1000, faults
 
 
 def test_master_seed_changes_everything():
