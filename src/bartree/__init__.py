@@ -53,7 +53,6 @@ from .harness import (
     ExperimentConfig,
     CltRunResult,
     run_clt_experiment,
-    ecdf,
     ks_distance,
     histogram,
     independence_report,

@@ -124,12 +124,9 @@ def _read_config_file(path: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line:
-            key, val = line.split("=", 1)
-        elif ":" in line:
-            key, val = line.split(":", 1)
-        else:
+        if "=" not in line:
             raise ValueError(f"{path}: cannot parse config line {raw!r}")
+        key, val = line.split("=", 1)
         val = val.strip()
         try:
             out[key.strip()] = json.loads(val)

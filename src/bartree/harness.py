@@ -57,8 +57,8 @@ from .tree_sim import GENERATION_SCOPE
 
 KERNELS = {"gaussian": gaussian_kernel}
 
-# The work limit of one run, in simulated nodes: 2^33 is about 10 min of
-# one CPU at ~60 ns per node, and admits the deepest recorded run (n=22, n0=500).
+# The work limit of one run, in simulated nodes: 2^33 is about 7 min of
+# one CPU at ~50 ns per node, and admits the deepest recorded run (n=22, n0=500).
 MAX_NODES = 2**33
 
 # The smallest run split across worker processes: 2^22 nodes take about
@@ -138,7 +138,7 @@ class CltRunResult:
     prev_samples: Optional[List[FluctuationSample]] = None
 
 
-def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms, workers=None):
+def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms):
     """Per-replicate scope sums over trees 0..reps-1 of `master_seed`.
 
     Each term is (generations, reduce): row t of the (len(terms), reps)
@@ -149,11 +149,12 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms, wor
     the reduction of the whole generation bit for bit. Replicates run
     through the engine `chunk_size` at a time (None: tree_sim.chunk_rows(n),
     the most that keeps every block within BLOCK_ELEMENTS cells), with root
-    law `initial`, in `workers` contiguous ranges (None: one per usable CPU
-    from FORK_NODES nodes up), all but the first in forked children; neither
-    split, chunking nor block width changes a bit. A run of no replicates,
-    or of more than MAX_NODES nodes, is refused up front; an admitted run
-    first makes this process keep the memory it frees (_keep_freed_memory).
+    law `initial`, in one contiguous range per usable CPU from FORK_NODES
+    nodes up in a process with os.fork and one Python thread (else one
+    range), all but the first in forked children; neither split, chunking
+    nor block width changes a bit. A run of no replicates, or of more than
+    MAX_NODES nodes, is refused up front; an admitted run first makes this
+    process keep the memory it frees (_keep_freed_memory).
     """
     if reps < 1:
         raise ValueError(f"need at least one replicate, got {reps}")
@@ -191,11 +192,10 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms, wor
                             out[t, start:stop] += carries.pop((t, g))[0][1]
         return out[:, first:last]
 
-    if workers is None:  # one per usable CPU for a large run, in a process that may fork
-        may_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-        if may_fork and nodes >= FORK_NODES and threading.active_count() == 1:
-            workers = len(os.sched_getaffinity(0))
-    workers = min(workers or 1, reps)
+    workers = 1
+    may_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if may_fork and nodes >= FORK_NODES and threading.active_count() == 1:
+        workers = min(len(os.sched_getaffinity(0)), reps)  # one per usable CPU
     bounds = [reps * w // workers for w in range(workers + 1)]
     children = {}  # pid -> (first, last, read end of its pipe)
     try:
@@ -238,7 +238,8 @@ def run_clt_experiment(config: ExperimentConfig, chunk_size: Optional[int] = Non
 
     `chunk_size` is the number of replicates simulated together, by
     default the engine's cell budget (tree_sim.chunk_rows); results are
-    bit-identical for any value.
+    bit-identical for any value. It is kept for the benchmark, whose
+    determinism check re-runs a few replicates at a small chunk.
     """
     t0 = time.perf_counter()
     model = BarModel(config.a, config.sigma)
@@ -278,22 +279,6 @@ def run_clt_experiment(config: ExperimentConfig, chunk_size: Optional[int] = Non
         config=config,
         prev_samples=samples[1] if len(samples) > 1 else None,
     )
-
-
-@dataclass(frozen=True)
-class Ecdf:
-    """Right-continuous empirical CDF: the sorted values; it is k/n at
-    the k-th of them."""
-
-    values: np.ndarray
-    n: int
-
-
-def ecdf(samples) -> Ecdf:
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("empty sample")
-    return Ecdf(values=np.sort(samples), n=samples.size)
 
 
 def ks_distance(samples, variance: float) -> float:
@@ -377,11 +362,10 @@ def monte_carlo_generation_sums(
     model: BarModel,
     reps: int,
     master_seed: int = 0,
-    chunk_size: Optional[int] = None,
 ) -> dict:
     """Per-replicate M_{G_g}(f_g) = sum_{u in G_g} f_g(X_u) with the root
     fixed at x, for every g in f_by_gen, from the same trees of depth
-    max(f_by_gen); `chunk_size` is as in run_clt_experiment.
+    max(f_by_gen), tree_sim.chunk_rows at a time.
 
     This is the simulation side of the moment-oracle comparison: the
     root is deterministic because the oracle moments are conditional
@@ -392,16 +376,11 @@ def monte_carlo_generation_sums(
     model._require_noise("moment Monte Carlo")
     terms = [(range(g, g + 1), lambda s, f=f: f(s).sum(axis=1)) for g, f in f_by_gen.items()]
     root = GaussianInitial(float(x), 0.0)
-    sums = _replicate_sums(model, root, max(f_by_gen), reps, master_seed, chunk_size, terms)
+    sums = _replicate_sums(model, root, max(f_by_gen), reps, master_seed, None, terms)
     return dict(zip(f_by_gen, sums))
 
 
 # -- exports -----------------------------------------------------------------
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    """The config's fields; a GaussianInitial becomes {"m0": ..., "rho0": ...}."""
-    return asdict(config)
-
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """ExperimentConfig from its fields; a scalar not of its annotated type is
@@ -448,7 +427,7 @@ def export(result: CltRunResult, format: str, path: str) -> str:
     if format == "json":
         out = os.path.join(path, "summary.json")
         summary = {
-            "config": config_to_dict(result.config),
+            "config": asdict(result.config),  # a GaussianInitial becomes {"m0", "rho0"}
             "theoretical_variance": result.theoretical.variance,
             "ks_distance": result.ks_distance,
             "sample_mean": result.sample_mean,
@@ -465,21 +444,23 @@ def export(result: CltRunResult, format: str, path: str) -> str:
 
 
 def export_ecdf(result: CltRunResult, path: str) -> str:
-    """value,ecdf CSV of the zeta samples (plot-ready)."""
-    e = ecdf([s.zeta for s in result.samples])
+    """zeta,ecdf CSV in directory `path`: the sorted zetas, k/n0 at the k-th."""
+    zetas = sorted(s.zeta for s in result.samples)
+    os.makedirs(path, exist_ok=True)
     out = os.path.join(path, "ecdf.csv")
     with open(out, "w", newline="") as fh:
         fh.write("zeta,ecdf\n")
-        for k, v in enumerate(e.values, start=1):
-            fh.write(f"{float(v)!r},{k / e.n!r}\n")
+        for k, v in enumerate(zetas, start=1):
+            fh.write(f"{v!r},{k / len(zetas)!r}\n")
     return out
 
 
 def export_histogram(result: CltRunResult, path: str, bin_count: Optional[int] = None) -> str:
-    """bin_left,bin_right,density CSV; default bin count ceil(sqrt(n0))."""
+    """bin_left,bin_right,density CSV in directory `path`; default bin count ceil(sqrt(n0))."""
     if bin_count is None:
         bin_count = math.ceil(math.sqrt(len(result.samples)))
     hist = histogram([s.zeta for s in result.samples], bin_count)
+    os.makedirs(path, exist_ok=True)
     out = os.path.join(path, "histogram.csv")
     with open(out, "w", newline="") as fh:
         fh.write("bin_left,bin_right,density\n")

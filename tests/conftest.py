@@ -1,9 +1,10 @@
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
 
-from bartree import tree_sim
+from bartree import harness, tree_sim
 from bartree.bar_model import BarModel
 from bartree.quadrature import QuadratureRule
 from bartree.smoothing import gaussian_kernel
@@ -68,3 +69,22 @@ def forced_block_widths(monkeypatch):
             yield width
 
     return widths
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Call it as forced_split(workers, chunk) to make the chunk driver split
+    each later run into `workers` replicate ranges (at most one per
+    replicate) and engine passes of `chunk` replicates (None: the engine's
+    own tree_sim.chunk_rows), through the facts the driver reads:
+    FORK_NODES, the usable CPUs and tree_sim.chunk_rows."""
+    chunk_rows = tree_sim.chunk_rows
+
+    def force(workers, chunk=None):
+        cpus = set(range(workers))
+        monkeypatch.setattr(harness, "FORK_NODES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        rows = chunk_rows if chunk is None else lambda n: chunk
+        monkeypatch.setattr(tree_sim, "chunk_rows", rows)
+
+    return force

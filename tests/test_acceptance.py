@@ -453,7 +453,7 @@ def test_criterion8_chunking_determinism(tmp_path, forced_block_widths):
         )
 
 
-def test_criterion8_stream_vs_stored(model_half, forced_block_widths):
+def test_criterion8_stream_vs_stored(model_half, forced_split, forced_block_widths):
     # the moment Monte Carlo streams blocks of replicates and of columns
     # through the engine and keeps only per-replicate generation sums; at
     # every chunking and block width they must equal, bit for bit, the sums
@@ -467,9 +467,10 @@ def test_criterion8_stream_vs_stored(model_half, forced_block_widths):
         ]
         f_by_gen = {g: f for g in range(n + 1)}
         for width in forced_block_widths():
-            for chunk in ({"chunk_size": 1}, {"chunk_size": 3}, {}):
+            for chunk in (1, 3, None):
+                forced_split(1, chunk)
                 streamed = monte_carlo_generation_sums(
-                    f_by_gen, x, model_half, reps, master_seed=seed, **chunk
+                    f_by_gen, x, model_half, reps, master_seed=seed
                 )
                 for g in range(n + 1):
                     want = np.array([np.sum(f(tree[g].states)) for tree in stored])

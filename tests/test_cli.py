@@ -272,6 +272,7 @@ JSON_RUN = '{"a": 0.5, "n": 5, "gamma": 0.201, "x": -1.3, "n0": 6, "initial": %s
 CONFIGS = {
     "<unknown-field>": "a=0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\nbananas=3\n",
     "<bad-line>": "a=0.5\nn 5\n",
+    "<colon-line>": "a: 0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\n",
     "<float-n>": "a=0.5\nn=5.0\ngamma=0.201\nx=-1.3\nn0=6\n",
     "<word-seed>": "a=0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\nmaster_seed = abc\n",
     "<list-scope>": "a=0.5\nn=5\ngamma=0.201\nx=-1.3\nn0=6\nscope = [1]\n",
@@ -320,6 +321,7 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         (["clt", "--config", "<unknown-field>", "--out", DUMP],
          "unexpected keyword argument 'bananas'"),
         (["clt", "--config", "<bad-line>", "--out", DUMP], "cannot parse config line 'n 5'"),
+        (["clt", "--config", "<colon-line>", "--out", DUMP], "cannot parse config line 'a: 0.5'"),
         (["clt", "--config", MISSING_CONFIG, "--out", DUMP],
          "cannot read config file: [Errno 2] No such file or directory"),
         (["clt", "--a", "0.5", "--n", "4", "--gamma", "0.201", "--x=-1.3", "--n0", "5",
@@ -360,7 +362,7 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         "simulate_n_above_stored_limit_dump", "estimate_n_above_stored_limit",
         "clt_beyond_work_limit", "moments_zero_reps", "moments_one_rep", "check_m0_without_rho0",
         "clt_missing_fields", "clt_unknown_field_in_config", "clt_bad_config_line",
-        "clt_missing_config_file", "clt_zero_bins", "clt_float_n_in_config",
+        "clt_colon_config_line", "clt_missing_config_file", "clt_zero_bins", "clt_float_n_in_config",
         "clt_word_seed_in_config", "clt_list_scope_in_config", "clt_word_bool_in_config", "clt_string_n0_in_json_config",
         "clt_initial_without_rho0", "clt_initial_extra_key", "clt_initial_word_m0",
         "clt_nan_x", "clt_inf_x", "clt_inf_rho0", "clt_nan_x_in_json_config",

@@ -160,6 +160,22 @@ def test_validated_range_is_answered(exact_zeta):
         assert var > lim / 2.0, (a, gamma, scope, var, lim)
 
 
+def test_criterion2_bandwidth_sits_on_a_plateau(exact_zeta):
+    # gamma=0.696 at a=0.9 is 6e-6 above the super-critical bound
+    # 1 + log2(0.81), so its excess variance barely decays: the limit-law
+    # gate of test_criterion2_admissible_supercritical meets a ratio of
+    # about 1.22 at every depth, and its 18/20 is a plateau, not a flake.
+    # A bandwidth well inside the admissible range does tend to 1.
+    def ratio(gamma, n):
+        var, lim, _, _ = exact_zeta.analyze(0.9, 1.0, n, gamma, -1.3, "gen")
+        return var / lim
+
+    plateau = [ratio(0.696, n) for n in (15, 18, 20, 25, 30, 40)]
+    assert min(plateau) >= 1.22, plateau
+    assert plateau[0] - plateau[-1] < 0.015, plateau
+    assert ratio(0.8, 40) < 1.02
+
+
 def test_script_imports_no_package_code(exact_zeta):
     tree = ast.parse(Path(exact_zeta.__file__).read_text())
     imported = {

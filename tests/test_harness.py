@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -26,8 +25,6 @@ from bartree.harness import (
     MAX_NODES,
     ExperimentConfig,
     config_from_dict,
-    config_to_dict,
-    ecdf,
     export,
     export_ecdf,
     export_histogram,
@@ -83,7 +80,7 @@ def test_non_finite_x_is_refused_at_construction(x):
     with pytest.raises(ValueError, match="query point x must be finite"):
         dataclasses.replace(_config(), x=x)
     with pytest.raises(ValueError, match="query point x must be finite"):
-        config_from_dict(dict(config_to_dict(_config()), x=x))
+        config_from_dict(dict(dataclasses.asdict(_config()), x=x))
 
 
 def test_work_is_refused_before_any_key(monkeypatch, model_half):
@@ -103,19 +100,20 @@ def test_work_is_refused_before_any_key(monkeypatch, model_half):
     assert 500 * (2**23 - 1) <= MAX_NODES
 
 
-def test_hot_path_derives_keys_without_the_scalar_spec(monkeypatch, model_half):
+def test_hot_path_derives_keys_without_the_scalar_spec(monkeypatch, forced_split, model_half):
     # _replicate_sums takes its keys from one vector pass per chunk: with
-    # the scalar ReplicateSeed.key broken, the Monte Carlo and the CLT run
-    # return the same numbers as before
+    # the scalar ReplicateSeed.key broken, the Monte Carlo (in chunks of
+    # 128) and the CLT run return the same numbers as before
     def zetas(res):
         return [s.zeta for s in res.samples], [s.zeta for s in res.prev_samples]
 
     def runs():
         sums = monte_carlo_generation_sums({1: np.cos, 3: np.sin}, 0.4, model_half, 300,
-                                           master_seed=9, chunk_size=128)
+                                           master_seed=9)
         clt = run_clt_experiment(_config(record_previous_generation=True), chunk_size=5)
         return sums, zetas(clt)
 
+    forced_split(1, 128)
     want_sums, want_zetas = runs()
 
     def no_scalar_key(self):
@@ -193,24 +191,23 @@ def test_chunk_size_is_invisible(forced_block_widths):
             assert zetas(chunk) == ref, (width, chunk)
 
 
-def _sin_sums(model, reduce=lambda s: np.sin(s).sum(axis=1), **kw):
+def _sin_sums(model, reduce=lambda s: np.sin(s).sum(axis=1)):
     """_replicate_sums over generation 3 of 12 replicates rooted at 0.4."""
     return harness._replicate_sums(model, GaussianInitial(0.4, 0.0), 3, 12, 5, None,
-                                   [(range(3, 4), reduce)], **kw)
+                                   [(range(3, 4), reduce)])
 
 
-def test_worker_count_is_invisible(monkeypatch, forced_block_widths, model_half):
+def test_worker_count_is_invisible(forced_split, forced_block_widths, model_half):
     # nor the number of forked workers, down to one replicate each: a
     # replicate's sums depend on its key alone, on the CLT path (tree scope
     # and the previous generation) and on the moment path alike
     config = _config(n=9, scope=TREE_SCOPE, record_previous_generation=True)
-    split = harness._replicate_sums
 
     def outputs(workers, chunk):
-        monkeypatch.setattr(harness, "_replicate_sums", functools.partial(split, workers=workers))
-        r = run_clt_experiment(config, chunk_size=chunk)
+        forced_split(workers, chunk)
+        r = run_clt_experiment(config)
         sums = monte_carlo_generation_sums({1: np.cos, 9: np.sin}, 0.4, model_half,
-                                           config.n0, master_seed=5, chunk_size=chunk)
+                                           config.n0, master_seed=5)
         return [s.zeta for s in r.samples], [s.zeta for s in r.prev_samples], [
             sums[g].tobytes() for g in (1, 9)]
 
@@ -220,7 +217,8 @@ def test_worker_count_is_invisible(monkeypatch, forced_block_widths, model_half)
             assert outputs(workers, chunk) == ref, (width, workers, chunk)
 
 
-def test_forked_default_path_reproduces_the_pinned_outputs(monkeypatch, tmp_path, capsys):
+def test_forked_default_path_reproduces_the_pinned_outputs(monkeypatch, forced_split, tmp_path,
+                                                           capsys):
     # with the threshold lowered and three CPUs reported, the default path
     # splits even the moment Monte Carlo three ways, and every pinned byte holds
     forks = []
@@ -231,8 +229,7 @@ def test_forked_default_path_reproduces_the_pinned_outputs(monkeypatch, tmp_path
         forks.append(pid)
         return pid
 
-    monkeypatch.setattr(harness, "FORK_NODES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forced_split(3)
     monkeypatch.setattr(os, "fork", counted_fork)
     test_acceptance_config_outputs_are_pinned(tmp_path)
     assert len(forks) == 2
@@ -252,8 +249,7 @@ def test_small_runs_and_threaded_callers_stay_serial(monkeypatch, model_half):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    want = _sin_sums(model_half, workers=1)
-    np.testing.assert_array_equal(_sin_sums(model_half), want)
+    want = _sin_sums(model_half)
     monkeypatch.setattr(harness, "FORK_NODES", 1)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
@@ -273,8 +269,8 @@ def test_small_runs_and_threaded_callers_stay_serial(monkeypatch, model_half):
     ("parent", ArithmeticError, ArithmeticError, "no sum here"),
     ("parent", KeyboardInterrupt, KeyboardInterrupt, "no sum here"),
 ], ids=["child", "parent", "interrupt"])
-def test_a_failed_range_raises_and_reaps_every_child(model_half, capfd, failing, raised, error,
-                                                     message):
+def test_a_failed_range_raises_and_reaps_every_child(forced_split, model_half, capfd, failing,
+                                                     raised, error, message):
     # replicates 0..3 run here and 4..7, 8..11 in two children: whichever
     # side fails, even by an interrupt in the caller's range, the call
     # raises, no child is left, and neither side wrote a byte
@@ -285,20 +281,22 @@ def test_a_failed_range_raises_and_reaps_every_child(model_half, capfd, failing,
             raise raised("no sum here")
         return states.sum(axis=1)
 
+    forced_split(3)
     with pytest.raises(error, match=message):
-        _sin_sums(model_half, reduce, workers=3)
+        _sin_sums(model_half, reduce)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert capfd.readouterr() == ("", "")
 
 
-def test_workers_leave_without_flushing_the_callers_buffers(model_half, tmp_path):
+def test_workers_leave_without_flushing_the_callers_buffers(forced_split, model_half, tmp_path):
     # a child leaves through os._exit: it runs no exit handler and does not
     # write out the caller's unflushed buffers a second time
+    forced_split(3)
     log = open(tmp_path / "log", "a")
     log.write("once\n")
     try:
-        _sin_sums(model_half, workers=3)
+        _sin_sums(model_half)
     finally:
         log.close()
     assert (tmp_path / "log").read_text() == "once\n"
@@ -348,7 +346,9 @@ def test_deep_run_memory_is_bounded():
     # interpreter's own footprint
     code = (
         "import resource\n"
+        "from bartree import harness\n"
         "from bartree.harness import ExperimentConfig, run_clt_experiment\n"
+        "harness.FORK_NODES = 2**62\n"  # serial: ru_maxrss covers this process only
         "run_clt_experiment(ExperimentConfig(a=0.5, sigma=1.0, n=22, gamma=0.201, x=-1.3,"
         " n0=2, scope='tree_n', record_previous_generation=True))\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
@@ -368,9 +368,10 @@ def test_block_steps_do_not_fault_their_temporaries_back_in():
         "import numpy as np\n"
         "from bartree import harness\n"
         "from bartree.bar_model import BarModel, GaussianInitial\n"
+        "harness.FORK_NODES = 2**62\n"  # serial: ru_minflt counts this process only
         "def run():\n"
         "    harness._replicate_sums(BarModel(0.5, 1.0), GaussianInitial(0.0, 1.0), 15, 256, 3,"
-        " None, [(range(15, 16), lambda s: np.sin(s).sum(axis=1))], workers=1)\n"
+        " None, [(range(15, 16), lambda s: np.sin(s).sum(axis=1))])\n"
         "run()\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "run()\n"
@@ -453,13 +454,6 @@ def test_tree_scope_run():
     assert all(math.isfinite(s.zeta) for s in res.samples)
     gen = run_clt_experiment(_config())
     assert [s.zeta for s in res.samples] != [s.zeta for s in gen.samples]
-
-
-# -- ecdf ------------------------------------------------------------------------
-
-def test_ecdf_empty():
-    with pytest.raises(ValueError):
-        ecdf([])
 
 
 # -- KS distance -----------------------------------------------------------------
@@ -685,6 +679,14 @@ def test_export_ecdf_file(tiny_run, tmp_path):
     assert float(lines[2].split(",")[1]) == 1.0
 
 
+def test_exports_create_their_directory(tiny_run, tmp_path):
+    # as export does, the ECDF and histogram exports make a missing directory
+    fresh = tmp_path / "new" / "x"
+    assert export_ecdf(tiny_run, str(fresh)) == str(fresh / "ecdf.csv")
+    assert export_histogram(tiny_run, str(fresh)) == str(fresh / "histogram.csv")
+    assert sorted(p.name for p in fresh.iterdir()) == ["ecdf.csv", "histogram.csv"]
+
+
 def test_export_histogram_default_bins(std_run, tmp_path):
     out = export_histogram(std_run, str(tmp_path))
     lines = open(out).read().splitlines()
@@ -703,13 +705,13 @@ def test_export_histogram_degenerate_writes_header_only(tmp_path):
 
 def test_config_dict_roundtrip():
     cfg = _config(initial=GaussianInitial(m0=0.4, rho0=0.9))
-    d = config_to_dict(cfg)
+    d = dataclasses.asdict(cfg)
     assert d["initial"] == {"m0": 0.4, "rho0": 0.9}
     assert config_from_dict(d) == cfg
     assert json.loads(json.dumps(d)) == d
 
     cfg2 = _config()
-    assert config_from_dict(config_to_dict(cfg2)) == cfg2
+    assert config_from_dict(dataclasses.asdict(cfg2)) == cfg2
 
     d["initial"] = {"m0": 0, "rho0": 1}  # an int is a float, as for the scalar fields
     assert config_from_dict(d).initial == GaussianInitial(m0=0, rho0=1)
@@ -726,7 +728,7 @@ def test_config_dict_roundtrip():
     ids=["no_m0", "bool_rho0", "null_rho0"],
 )
 def test_config_from_dict_refuses_bad_initial(initial, message):
-    d = config_to_dict(_config())
+    d = dataclasses.asdict(_config())
     d["initial"] = initial
     with pytest.raises(ValueError) as exc:
         config_from_dict(d)
