@@ -60,7 +60,8 @@ def _initial_from_args(args):
 def cmd_check(args) -> int:
     model = BarModel(args.a, args.sigma)
     report = check_assumptions(model, _initial_from_args(args))
-    regime = admissible_bandwidth(BandwidthSchedule(args.gamma), args.s, model.alpha)
+    order = gaussian_kernel().order  # the estimator's kernel's, as in run_clt_experiment
+    regime = admissible_bandwidth(BandwidthSchedule(args.gamma), order, model.alpha)
     print(json.dumps(
         {"assumptions": asdict(report), "regime": asdict(regime)},
         indent=2,
@@ -141,7 +142,7 @@ def cmd_clt(args) -> int:
         val = getattr(args, name)
         if val is not None:
             fields[name] = val
-    if isinstance(fields.get("scope"), str):  # config_from_dict refuses other types
+    if isinstance(fields.get("scope"), str):  # the config refuses other types
         fields["scope"] = SCOPE_ALIASES.get(fields["scope"], fields["scope"])
     initial = _initial_from_args(args)
     if initial is not None:
@@ -154,6 +155,8 @@ def cmd_clt(args) -> int:
         config = config_from_dict(fields)
     except TypeError as exc:
         raise ValueError(f"bad config: {exc}")
+    if args.bins is not None and not args.histogram:
+        raise ValueError("--bins needs --histogram")
     if args.bins is not None and args.bins < 1:
         raise ValueError(f"--bins must be >= 1, got {args.bins}")
 
@@ -230,11 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="assumption + bandwidth regime report (JSON)")
+    # no prefix matching: the retired --s flag must not read as --sigma
+    p = sub.add_parser("check", help="assumption + bandwidth regime report (JSON)",
+                       allow_abbrev=False)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--s", type=float, required=True, help="regularity order of the target density")
     _add_initial_flags(p)
     p.set_defaults(func=cmd_check)
 

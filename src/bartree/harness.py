@@ -94,8 +94,9 @@ class ExperimentConfig:
     zeta_{n-1} over G_{n-1} with `record_previous_generation`.
 
     Construction is the gate: __post_init__ refuses every config that cannot
-    run, whether built in code, by config_from_dict or by dataclasses.replace.
-    Only the work (n0 >= 1, MAX_NODES) is admitted later, by the chunk driver.
+    run, whether built in code, by config_from_dict or by dataclasses.replace,
+    starting with a scalar not of its annotated type. Only the work (n0 >= 1,
+    MAX_NODES) is admitted later, by the chunk driver.
     """
 
     a: float
@@ -111,6 +112,11 @@ class ExperimentConfig:
     record_previous_generation: bool = False
 
     def __post_init__(self):
+        for name, kind in self.__annotations__.items():
+            value = getattr(self, name)
+            kinds = (int, float) if kind is float else (kind,)  # exact: a bool is no int
+            if kind in (int, float, bool, str) and type(value) not in kinds:
+                raise ValueError(f"config field {name!r} must be {kind.__name__}, got {value!r}")
         BarModel(self.a, self.sigma)._require_noise("CLT experiment")
         BandwidthSchedule(self.gamma)
         if self.kernel_name not in KERNELS:
@@ -383,14 +389,9 @@ def monte_carlo_generation_sums(
 # -- exports -----------------------------------------------------------------
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """ExperimentConfig from its fields; a scalar not of its annotated type is
-    refused, and so is an `initial` object other than {"m0": float, "rho0": float}."""
+    """ExperimentConfig from its fields; an `initial` object must be exactly
+    {"m0": float, "rho0": float}, and the config checks the rest."""
     d = dict(d)
-    for name, kind in ExperimentConfig.__annotations__.items():
-        value = d.get(name)
-        kinds = (int, float) if kind is float else (kind,)  # exact: a bool is no int
-        if name in d and kind in (int, float, bool, str) and type(value) not in kinds:
-            raise ValueError(f"config field {name!r} must be {kind.__name__}, got {value!r}")
     init = d.get("initial", "stationary")
     if isinstance(init, dict):
         keys = ("m0", "rho0")

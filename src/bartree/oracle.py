@@ -15,7 +15,8 @@ P(u (x) v)(y) = Qu(y) * Qv(y) and every P application above collapses
 to a product of one-dimensional integrals: the inner tensor terms
 become (Q^{k+1} f)^2 and Q^{k+1} g * Q^{n-m+k+1} f. That specialization
 is what is implemented; each value costs O(n * order^2) kernel
-evaluations (nested quadrature of depth two).
+evaluations (nested quadrature of depth two). The second moment is the
+cross moment at m = n, g = f, and one function evaluates both.
 
 These identities are the independent ground truth the Monte Carlo
 harness is checked against.
@@ -55,23 +56,15 @@ def mean_MGn(
     )
 
 
-def _second_moment(f, n, x, model, q):
-    total = 2.0**n * q_power_apply(lambda y: f(y) ** 2, n, x, model, q)
-    for k in range(n):
-        inner = lambda y, k=k: q_power_apply(f, k + 1, y, model, q) ** 2
-        total += 2.0 ** (n + k) * q_power_apply(inner, n - k - 1, x, model, q)
-    return total
-
-
 def second_moment_MGn(
     f, n: int, x: float, model: BarModel, quad: QuadratureRule
 ) -> MomentOracleResult:
-    """E_x[M_{G_n}(f)^2] under the BAR factorization (see module docstring)."""
+    """E_x[M_{G_n}(f)^2]: the cross moment at m = n, g = f (module docstring)."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > DEFAULT_CAP:
         raise ValueError(f"n={n} exceeds the second-moment cost cap {DEFAULT_CAP}")
-    return _with_error(lambda q: _second_moment(f, n, x, model, q), quad)
+    return _with_error(lambda q: _cross_moment(f, f, n, n, x, model, q), quad)
 
 
 def _cross_moment(f, g, n, m, x, model, q):
@@ -96,12 +89,8 @@ def cross_moment_MGn_MGm(
     model: BarModel,
     quad: QuadratureRule,
 ) -> MomentOracleResult:
-    """E_x[M_{G_n}(f) M_{G_m}(g)] for n >= m >= 0.
-
-    With n = m and g = f this reduces exactly to second_moment_MGn
-    (the k-th summand is (Q^{k+1} f)^2), which is tested as a
-    consistency identity.
-    """
+    """E_x[M_{G_n}(f) M_{G_m}(g)] for n >= m >= 0; second_moment_MGn is
+    its case n = m, g = f."""
     if m < 0 or n < m:
         raise ValueError("need n >= m >= 0")
     if n > DEFAULT_CAP:

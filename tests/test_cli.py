@@ -6,6 +6,7 @@ import pytest
 from bartree.bar_model import BarModel, bar_kernel, stationary_initial
 from bartree import cli
 from bartree.cli import main
+from bartree.harness import ExperimentConfig, run_clt_experiment
 from bartree.smoothing import BandwidthSchedule, bandwidth, density_estimate, gaussian_kernel
 from bartree.tree_sim import ReplicateSeed, simulate_generations
 
@@ -19,7 +20,7 @@ def run_cli(capsys, *argv):
 # -- check ----------------------------------------------------------------------
 
 def test_check_admissible(capsys):
-    code, out = run_cli(capsys, "check", "--a", "0.5", "--gamma", "0.201", "--s", "2")
+    code, out = run_cli(capsys, "check", "--a", "0.5", "--gamma", "0.201")
     assert code == 0
     doc = json.loads(out)
     assert doc["assumptions"]["initial_ok"] is True
@@ -28,17 +29,30 @@ def test_check_admissible(capsys):
 
 
 def test_check_supercritical_rejection(capsys):
-    code, out = run_cli(capsys, "check", "--a", "0.9", "--gamma", "0.2", "--s", "2")
+    code, out = run_cli(capsys, "check", "--a", "0.9", "--gamma", "0.2")
     assert code == 1
     doc = json.loads(out)
     assert doc["regime"]["supercritical_ok"] is False
     assert abs(doc["regime"]["gamma_lower_bound_supercritical"] - 0.695993813109900) < 1e-5
 
 
+@pytest.mark.parametrize(
+    "a, gamma, admissible",
+    [(0.5, 0.15, False), (0.5, 0.201, True), (0.9, 0.201, False), (0.9, 0.696, True)],
+)
+def test_check_and_clt_agree_on_admissibility(capsys, a, gamma, admissible):
+    # both take the bias order from the estimator's kernel
+    code, out = run_cli(capsys, "check", "--a", str(a), "--gamma", str(gamma))
+    cfg = ExperimentConfig(a=a, sigma=1.0, n=3, gamma=gamma, x=-1.3, n0=4)
+    assert run_clt_experiment(cfg).admissibility.admissible is admissible
+    assert json.loads(out)["regime"]["admissible"] is admissible
+    assert code == (0 if admissible else 1)
+
+
 def test_check_bad_initial(capsys):
     # rho0 above the stationary spread is not admissible
     code, out = run_cli(
-        capsys, "check", "--a", "0.5", "--gamma", "0.201", "--s", "2",
+        capsys, "check", "--a", "0.5", "--gamma", "0.201",
         "--m0", "0.0", "--rho0", "5.0",
     )
     assert code == 1
@@ -314,8 +328,11 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
          "need at least one replicate, got 0"),
         (["moments", "--f", "id", "--n", "2", "--x", "0.5", "--a", "0.5", "--reps", "1"],
          "standard error needs at least two replicates, got 1"),
-        (["check", "--a", "0.5", "--gamma", "0.201", "--s", "2", "--m0", "0.0"],
+        (["check", "--a", "0.5", "--gamma", "0.201", "--m0", "0.0"],
          "provide --m0 and --rho0 together"),
+        # the bias order is the kernel's, and a retired --s is not read as --sigma
+        (["check", "--a", "0.5", "--gamma", "0.201", "--s", "2"],
+         "unrecognized arguments: --s 2"),
         (["clt", "--a", "0.5", "--n", "5", "--out", DUMP],
          "missing required config fields: gamma, x, n0"),
         (["clt", "--config", "<unknown-field>", "--out", DUMP],
@@ -326,6 +343,8 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
          "cannot read config file: [Errno 2] No such file or directory"),
         (["clt", "--a", "0.5", "--n", "4", "--gamma", "0.201", "--x=-1.3", "--n0", "5",
           "--out", DUMP, "--histogram", "--bins", "0"], "--bins must be >= 1, got 0"),
+        (["clt", "--a", "0.5", "--n", "4", "--gamma", "0.201", "--x=-1.3", "--n0", "5",
+          "--out", DUMP, "--bins", "7"], "--bins needs --histogram"),
         (["clt", "--config", "<float-n>", "--out", DUMP],
          "config field 'n' must be int, got 5.0"),
         (["clt", "--config", "<word-seed>", "--out", DUMP],
@@ -361,8 +380,9 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         "estimate_n_too_deep", "simulate_n_above_stored_limit",
         "simulate_n_above_stored_limit_dump", "estimate_n_above_stored_limit",
         "clt_beyond_work_limit", "moments_zero_reps", "moments_one_rep", "check_m0_without_rho0",
-        "clt_missing_fields", "clt_unknown_field_in_config", "clt_bad_config_line",
-        "clt_colon_config_line", "clt_missing_config_file", "clt_zero_bins", "clt_float_n_in_config",
+        "check_retired_s", "clt_missing_fields", "clt_unknown_field_in_config", "clt_bad_config_line",
+        "clt_colon_config_line", "clt_missing_config_file", "clt_zero_bins",
+        "clt_bins_without_histogram", "clt_float_n_in_config",
         "clt_word_seed_in_config", "clt_list_scope_in_config", "clt_word_bool_in_config", "clt_string_n0_in_json_config",
         "clt_initial_without_rho0", "clt_initial_extra_key", "clt_initial_word_m0",
         "clt_nan_x", "clt_inf_x", "clt_inf_rho0", "clt_nan_x_in_json_config",

@@ -70,6 +70,17 @@ def test_config_validation_errors():
         _config(n=0, record_previous_generation=True)
     with pytest.raises(ValueError, match="initial"):
         _config(initial="point_mass")
+    # field types are checked exactly, by the constructor and by replace alike
+    for name, value, kind in [
+        ("n", True, "int"), ("n", 3.0, "int"), ("n0", 2.5, "int"), ("master_seed", 1.5, "int"),
+        ("record_previous_generation", "no", "bool"), ("a", "0.5", "float"),
+        ("x", np.float64(-1.3), "float"), ("gamma", np.float64(0.201), "float"),
+    ]:
+        message = f"config field {name!r} must be {kind}, got {value!r}"
+        for build in (_config, lambda **kw: dataclasses.replace(_config(), **kw)):
+            with pytest.raises(ValueError) as exc:
+                build(**{name: value})
+            assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
