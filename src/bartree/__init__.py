@@ -34,7 +34,6 @@ from .smoothing import (
     bandwidth,
     admissible_bandwidth,
     density_estimate,
-    bias_term,
 )
 from .fluctuations import (
     FluctuationSample,

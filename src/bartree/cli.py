@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -83,8 +84,11 @@ def _single_tree(args):
 def cmd_simulate(args) -> int:
     gens = _single_tree(args)
     if args.dump is not None:
-        with open(args.dump, "w", newline="") as fh:
-            dump_trajectory(gens, fh)
+        try:
+            with open(args.dump, "w", newline="") as fh:
+                dump_trajectory(gens, fh)
+        except OSError as exc:
+            raise ValueError(f"cannot write dump file: {exc}")
         print(f"wrote {args.dump}")
     else:
         dump_trajectory(gens, sys.stdout)
@@ -159,13 +163,18 @@ def cmd_clt(args) -> int:
         raise ValueError("--bins needs --histogram")
     if args.bins is not None and args.bins < 1:
         raise ValueError(f"--bins must be >= 1, got {args.bins}")
+    if os.path.exists(args.out) and not os.path.isdir(args.out):  # before the run
+        raise ValueError(f"cannot write output directory: {args.out!r} is not a directory")
 
     result = run_clt_experiment(config)
-    written = [export(result, "csv", args.out), export(result, "json", args.out)]
-    if args.histogram:
-        written.append(export_histogram(result, args.out, args.bins))
-    if args.ecdf:
-        written.append(export_ecdf(result, args.out))
+    try:
+        written = [export(result, "csv", args.out), export(result, "json", args.out)]
+        if args.histogram:
+            written.append(export_histogram(result, args.out, args.bins))
+        if args.ecdf:
+            written.append(export_ecdf(result, args.out))
+    except OSError as exc:
+        raise ValueError(f"cannot write output directory: {exc}")
     print(
         f"n0={config.n0} scope={config.scope} "
         f"ks={result.ks_distance:.4f} mean={result.sample_mean:+.4f} "
@@ -212,7 +221,10 @@ def cmd_moments(args) -> int:
     for name, orc, factors in rows:
         v = math.prod(sums[g] for g in factors)
         est, se = float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
-        z = (est - orc.value) / se if se > 0 else float("inf")
+        miss = est - orc.value
+        # se = 0: a deterministic cell, which matches up to the quadrature error or misses
+        exact = abs(miss) <= orc.quadrature_error_estimate
+        z = miss / se if se > 0 else (0.0 if exact else math.copysign(math.inf, miss))
         print(
             f"{name:<24} {orc.value:>14.6g} {orc.quadrature_error_estimate:>10.2e} "
             f"{est:>14.6g} {se:>10.2e} {z:>7.2f}"

@@ -1,10 +1,9 @@
 """Gauss-Hermite quadrature against Gaussian laws.
 
 Every integral in this package is an integral of a smooth function
-against a one-dimensional Gaussian (or can be rewritten as one by
-importance reweighting), so a single fixed-order Gauss-Hermite rule in
-the physicists' convention (weight e^{-t^2}, sum of weights sqrt(pi))
-covers all of them:
+against a one-dimensional Gaussian, so a single fixed-order
+Gauss-Hermite rule in the physicists' convention (weight e^{-t^2}, sum
+of weights sqrt(pi)) covers all of them:
 
     E[f(m + s*G)] = pi^{-1/2} * sum_i w_i f(m + sqrt(2)*s*t_i).
 """
@@ -69,18 +68,3 @@ class QuadratureRule:
         out = vals @ self.weights / _SQRT_PI
         return float(out) if mean.ndim == 0 else out
 
-    def lebesgue(self, g):
-        """integral of g over the real line, by reweighting against
-        N(0, 1).
-
-        Accurate when g decays at least as fast as the standard Gaussian;
-        exact (up to the rule's degree) when g itself is a standard
-        Gaussian times a polynomial.
-        """
-        t = self.nodes
-        # w_i * e^{t_i^2} computed in logs: the raw weights underflow
-        # toward the edge nodes while e^{t^2} overflows, their product
-        # is tame.
-        logw = np.log(self.weights) + t * t
-        vals = np.asarray(g(_SQRT_2 * t), dtype=float)
-        return float(_SQRT_2 * np.exp(logw) @ vals)

@@ -16,8 +16,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import QuadratureRule
-
 
 @dataclass(frozen=True)
 class SmoothingKernel:
@@ -133,21 +131,3 @@ def density_estimate(sample, x_points, h: float, K: SmoothingKernel):
             acc[j] += parzen_sum(K, xj, block, h)
     out = acc / (sample.size * h)
     return float(out[0]) if scalar else out
-
-
-def bias_term(
-    x: float,
-    h: float,
-    K: SmoothingKernel,
-    density: Callable[[np.ndarray], np.ndarray],
-    quad: QuadratureRule,
-) -> float:
-    """B_h(x) = integral of K(y) (density(x - h y) - density(x)) dy.
-
-    This is the smoothing error of the estimator's mean; for an order-s
-    kernel it decays like h^s wherever the density has s derivatives.
-    """
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
-    dx = float(density(np.asarray(x, dtype=float)))
-    return quad.lebesgue(lambda u: K.evaluate(u) * (density(x - h * u) - dx))

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 from pathlib import Path
 
@@ -7,7 +8,6 @@ import pytest
 from bartree import harness, tree_sim
 from bartree.bar_model import BarModel
 from bartree.quadrature import QuadratureRule
-from bartree.smoothing import gaussian_kernel
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -31,11 +31,6 @@ def quad96():
 
 
 @pytest.fixture(scope="session")
-def gauss_K():
-    return gaussian_kernel()
-
-
-@pytest.fixture(scope="session")
 def model_half():
     return BarModel(0.5, 1.0)
 
@@ -48,6 +43,22 @@ def exact_zeta():
     package code, so it stays an independent yardstick for the simulator.
     """
     return load_script("exact_zeta_variance")
+
+
+@pytest.fixture(scope="session")
+def closed_form_bias(exact_zeta):
+    """bias(x, k): the smoothing bias B_h(x) = (K_h * mu)(x) - mu(x) of the
+    Gaussian kernel at h = 2^-k, for a=0.5, sigma=1.
+
+    It is read off the yardstick's mean shift sqrt(2^n h_n) B_{h_n}(x) of
+    zeta_n: with gamma = 0.2, n = 5k gives h_n = 2^-k exactly.
+    """
+
+    def bias(x, k):
+        n = 5 * k
+        return exact_zeta.analyze(0.5, 1.0, n, 0.2, x, "gen")[2] / math.sqrt(2.0 ** (n - k))
+
+    return bias
 
 
 @pytest.fixture(scope="session")

@@ -50,7 +50,6 @@ from bartree.oracle import cross_moment_MGn_MGm, mean_MGn, second_moment_MGn
 from bartree.smoothing import (
     BandwidthSchedule,
     admissible_bandwidth,
-    bias_term,
     density_estimate,
     gaussian_kernel,
 )
@@ -335,10 +334,11 @@ def test_criterion4_cross_moment_identities(quad64):
 # -- criterion 5: bias order -------------------------------------------------------
 
 
-def test_criterion5_bias_order(quad96, gauss_K, model_half):
-    dens = lambda y: invariant_density(y, model_half)
+def test_criterion5_bias_order(closed_form_bias):
+    # B_h(X) at a=0.5 from the closed form, which test_smoothing.py checks
+    # against quadrature
     hs = [2.0**-k for k in range(2, 7)]
-    bs = [abs(bias_term(X, h, gauss_K, dens, quad96)) for h in hs]
+    bs = [abs(closed_form_bias(X, k)) for k in range(2, 7)]
     slope = float(np.polyfit(np.log(hs), np.log(bs), 1)[0])
     assert abs(slope - 2.0) <= 0.3, (
         f"log-log slope of the smoothing bias over h in 2^-2..2^-6 is {slope:.4f}, "

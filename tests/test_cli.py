@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -221,6 +222,19 @@ def test_moments_table(capsys):
         assert abs(float(cols[-1])) < 5.0     # z-score
 
 
+def test_clt_refuses_a_file_as_out_before_running(capsys, monkeypatch, tmp_path):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the CLT experiment ran")
+
+    monkeypatch.setattr(cli, "run_clt_experiment", no_run)
+    (tmp_path / "taken").write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["clt", "--a", "0.5", "--n", "5", "--gamma", "0.201", "--x=-1.3", "--n0", "6",
+              "--out", str(tmp_path / "taken")])
+    assert exc.value.code == 2
+    assert "is not a directory" in capsys.readouterr().err
+
+
 def test_moments_asks_the_oracle_before_simulating(capsys, monkeypatch):
     # n = 13 is above the oracle's second-moment cost cap: the refusal
     # comes before 20000 trees of 2^14 - 1 nodes are simulated
@@ -259,9 +273,37 @@ def test_moments_without_cross(capsys):
     assert code == 0
     rows = out.splitlines()[2:]
     assert len(rows) == 2
-    # f = 1: both moments are deterministic, the MC column is exact
+    # f = 1: both moments are deterministic, the MC column is exact, and
+    # with mc_se = 0 a match within quad_err reads z = 0.00
     assert float(rows[0].split()[1]) == pytest.approx(8.0)
     assert float(rows[1].split()[1]) == pytest.approx(64.0)
+    assert [row.split()[-2:] for row in rows] == [["0.00e+00", "0.00"]] * 2
+
+
+def test_moments_of_the_pinned_root_match_exactly(capsys):
+    # n = m = 0: every quantity is a power of f(x), with no sampling error
+    code, out = run_cli(
+        capsys, "moments", "--f", "id", "--n", "0", "--m", "0", "--x", "0.5", "--a", "0.5",
+        "--reps", "100",
+    )
+    assert code == 0
+    assert [row.split()[-1] for row in out.splitlines()[2:]] == ["0.00"] * 3
+
+
+def test_moments_flags_a_deterministic_mismatch(capsys, monkeypatch):
+    # mc_se = 0 and an oracle off by one: the miss is an infinite z, not 0
+    mean_MGn = cli.mean_MGn
+
+    def off_by_one(*args):
+        result = mean_MGn(*args)
+        return dataclasses.replace(result, value=result.value + 1.0)
+
+    monkeypatch.setattr(cli, "mean_MGn", off_by_one)
+    code, out = run_cli(
+        capsys, "moments", "--f", "one", "--n", "3", "--x", "0.5", "--a", "0.5", "--reps", "100",
+    )
+    assert code == 0
+    assert [row.split()[-1] for row in out.splitlines()[2:]] == ["-inf", "0.00"]
 
 
 # -- argparse plumbing -------------------------------------------------------------
@@ -300,6 +342,11 @@ CONFIGS = {
 }
 CLT_RUN = ["clt", "--a", "0.5", "--n", "5", "--gamma", "0.201", "--n0", "6", "--out", DUMP]
 MISSING_CONFIG = "<missing-config>"
+# a --dump path in a directory that does not exist; a plain file as --out,
+# and an --out below that file
+DUMP_IN_MISSING_DIR = "<dump-in-missing-dir>"
+FILE_AS_OUT = "<file-as-out>"
+BELOW_A_FILE = "<below-a-file>"
 TOO_DEEP = "tree depth n=63 out of range 0..62"
 TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
 
@@ -373,6 +420,12 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
          "query points contain non-finite values"),
         (["moments", "--f", "id", "--n", "2", "--x", "nan", "--a", "0.5"],
          "--x must be finite, got nan"),
+        (["simulate", "--a", "0.5", "--n", "3", "--dump", DUMP_IN_MISSING_DIR],
+         "cannot write dump file: [Errno 2] No such file or directory"),
+        (["clt", "--a", "0.5", "--n", "5", "--gamma", "0.201", "--x=-1.3", "--n0", "6",
+          "--out", FILE_AS_OUT], "taken' is not a directory"),
+        (["clt", "--a", "0.5", "--n", "5", "--gamma", "0.201", "--x=-1.3", "--n0", "6",
+          "--out", BELOW_A_FILE], "cannot write output directory: [Errno 20] Not a directory"),
     ],
     ids=[
         "moments_m_above_n", "estimate_bad_x", "clt_n_too_deep", "simulate_negative_n",
@@ -387,6 +440,7 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         "clt_initial_without_rho0", "clt_initial_extra_key", "clt_initial_word_m0",
         "clt_nan_x", "clt_inf_x", "clt_inf_rho0", "clt_nan_x_in_json_config",
         "clt_nan_initial_in_json_config", "estimate_nan_x", "moments_nan_x",
+        "simulate_dump_in_missing_dir", "clt_out_is_a_file", "clt_out_below_a_file",
     ],
 )
 def test_bad_value_is_a_usage_error(capsys, tmp_path, argv, message):
@@ -401,6 +455,12 @@ def test_bad_value_is_a_usage_error(capsys, tmp_path, argv, message):
             return str(tmp_path / "run.cfg")
         if arg == MISSING_CONFIG:
             return str(tmp_path / "absent.cfg")
+        if arg == DUMP_IN_MISSING_DIR:
+            return str(tmp_path / "absent" / "traj.csv")
+        if arg in (FILE_AS_OUT, BELOW_A_FILE):
+            taken = tmp_path / "taken"
+            taken.write_text("")
+            return str(taken / "out" if arg == BELOW_A_FILE else taken)
         return arg
 
     with pytest.raises(SystemExit) as exc:

@@ -21,8 +21,6 @@ ALLOWED = {
     "tree_sim.initial_randomness",
     "tree_sim.node_randomness",
     "bar_model.bar_transition",
-    # Subject of acceptance criterion 5 (the bias order of the estimator).
-    "smoothing.bias_term",
 }
 
 

@@ -43,18 +43,6 @@ def test_expect_broadcasts_over_mean_array(quad64):
     assert isinstance(quad64.expect(lambda y: y, mean=0.3), float)
 
 
-def test_lebesgue_integrates_gaussian_density(quad64):
-    phi = lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
-    # envelope-matched: exact
-    assert math.isclose(quad64.lebesgue(phi), 1.0, rel_tol=1e-14)
-
-
-def test_lebesgue_second_moment(quad64):
-    phi = lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
-    got = quad64.lebesgue(lambda y: y * y * phi(y))
-    assert math.isclose(got, 1.0, rel_tol=1e-12)
-
-
 def test_half_rule():
     q = QuadratureRule.gauss_hermite(64)
     h = q.half()

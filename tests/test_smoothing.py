@@ -11,7 +11,6 @@ from bartree.smoothing import (
     BandwidthSchedule,
     admissible_bandwidth,
     bandwidth,
-    bias_term,
     density_estimate,
     gaussian_kernel,
 )
@@ -28,16 +27,17 @@ CHUNK = 1 << 16                       # density_estimate's sample chunk
 def test_gaussian_kernel_constants(quad96):
     # the declared constants, checked once against a 96-node rule: a
     # density with vanishing first moment (order 2), ||K||_2^2 as
-    # declared, and its maximum at 0
+    # declared, and its maximum at 0. Each integral of g is taken as
+    # E[g(Y) / phi_sqrt2(Y)] under Y ~ N(0, 2), wider than K itself.
     K = gaussian_kernel()
     assert K.order == 2.0
     assert math.isclose(K.l2_norm_sq, K2_GAUSS, rel_tol=1e-14)
-    assert abs(quad96.lebesgue(K.evaluate) - 1.0) < 1e-12
-    assert abs(quad96.lebesgue(lambda u: u * K.evaluate(u))) < 1e-12
-    assert math.isclose(quad96.lebesgue(lambda u: u**2 * K.evaluate(u)), 1.0, rel_tol=1e-12)
-    assert math.isclose(
-        quad96.lebesgue(lambda u: K.evaluate(u) ** 2), K.l2_norm_sq, rel_tol=1e-12
-    )
+    phi_sqrt2 = lambda u: np.exp(-0.25 * u * u) / math.sqrt(4.0 * math.pi)
+    integral = lambda g: quad96.expect(lambda u: g(u) / phi_sqrt2(u), std=math.sqrt(2.0))
+    assert abs(integral(K.evaluate) - 1.0) < 1e-12
+    assert abs(integral(lambda u: u * K.evaluate(u))) < 1e-12
+    assert math.isclose(integral(lambda u: u**2 * K.evaluate(u)), 1.0, rel_tol=1e-12)
+    assert math.isclose(integral(lambda u: K.evaluate(u) ** 2), K.l2_norm_sq, rel_tol=1e-12)
     grid = np.linspace(-8.0, 8.0, 16001)
     assert np.max(K.evaluate(grid)) == K.evaluate(0.0)
     assert math.isclose(K.evaluate(0.0), 1.0 / math.sqrt(2 * math.pi), rel_tol=1e-14)
@@ -204,31 +204,28 @@ def test_scaling_identity():
 
 # -- bias ---------------------------------------------------------------------
 
-def test_bias_constant_density(quad96, gauss_K):
-    got = bias_term(0.3, 0.25, gauss_K, lambda y: np.full_like(np.asarray(y, float), 0.77), quad96)
-    assert abs(got) < 1e-14
+def test_closed_form_bias_matches_quadrature(quad96, closed_form_bias):
+    # the closed form's B_h(x) against E[mu(x - h G)] - mu(x), G ~ N(0, 1):
+    # the Gaussian kernel's smoothing of mu by quadrature, sharing no code
+    mu = lambda y: invariant_density(y, BarModel(0.5, 1.0))
+    x = -1.3
+    for k in range(1, 7):
+        h = 2.0**-k
+        quad = quad96.expect(lambda u: mu(x - h * u)) - mu(x)
+        assert math.isclose(closed_form_bias(x, k), quad, rel_tol=1e-10), k
 
 
-def test_bias_linear_density(quad96, gauss_K):
-    # odd first moment of the kernel kills the linear term
-    got = bias_term(0.3, 0.25, gauss_K, lambda y: 0.2 * np.asarray(y, float) + 1.0, quad96)
-    assert abs(got) < 1e-13
-
-
-def test_bias_order_two_slope(quad96, gauss_K):
-    model = BarModel(0.5, 1.0)
-    dens = lambda y: invariant_density(y, model)
+def test_bias_order_two_slope(closed_form_bias):
     hs = [2.0 ** -k for k in range(2, 7)]
-    bs = [bias_term(-1.3, h, gauss_K, dens, quad96) for h in hs]
+    bs = [closed_form_bias(-1.3, k) for k in range(2, 7)]
     slope = np.polyfit(np.log(hs), np.log(np.abs(bs)), 1)[0]
     assert abs(slope - 2.0) <= 0.3
     # and the h^2 coefficient converges to |mu''(-1.3)|/2
     assert abs(abs(bs[-1]) / hs[-1] ** 2 - MU_PP_HALF) < 1e-4
 
 
-def test_bochner_bias_vanishes(quad96, gauss_K):
-    model = BarModel(0.5, 1.0)
-    dens = lambda y: invariant_density(y, model)
-    bs = [abs(bias_term(-1.3, h, gauss_K, dens, quad96)) for h in (0.5, 0.25, 0.125, 0.0625)]
+def test_bochner_bias_vanishes(closed_form_bias):
+    # h = 0.5, 0.25, 0.125, 0.0625
+    bs = [abs(closed_form_bias(-1.3, k)) for k in range(1, 5)]
     assert all(b2 < b1 for b1, b2 in zip(bs, bs[1:]))
     assert bs[-1] < 1e-4

@@ -1,7 +1,7 @@
 """No module imports a name that it never uses.
 
-This AST scan stands in for a linter over `src/`, `scripts/` and
-`tests/`. A package `__init__.py` is exempt: its imports are the
+This AST scan stands in for a linter over `src/`, `scripts/`, `tests/`
+and `perfbench/`. A package `__init__.py` is exempt: its imports are the
 re-exported API.
 """
 
@@ -9,7 +9,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED_DIRS = ("src", "scripts", "tests")
+SCANNED_DIRS = ("src", "scripts", "tests", "perfbench")
 
 
 def _unused_imports(source: str) -> list:
