@@ -90,7 +90,10 @@ def bar_kernel(model: BarModel):
     def sample_block(parent_states, stream_states):
         e0, e1 = tree_sim.stream_normal_pairs(stream_states, 0)
         ax = model.a * parent_states
-        return ax + model.sigma * e0, ax + model.sigma * e1
+        for e in (e0, e1):  # ax + sigma * e, in place
+            e *= model.sigma
+            e += ax
+        return e0, e1
 
     return sample_block
 

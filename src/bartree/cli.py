@@ -220,7 +220,9 @@ def cmd_moments(args) -> int:
     print(f"{'quantity':<24} {'oracle':>14} {'quad_err':>10} {'mc':>14} {'mc_se':>10} {'z':>7}")
     for name, orc, factors in rows:
         v = math.prod(sums[g] for g in factors)
-        est, se = float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
+        same = bool((v == v[0]).all())  # a deterministic cell: its value, not a mean 1 ulp off
+        est = float(v[0]) if same else float(np.mean(v))
+        se = 0.0 if same else float(np.std(v, ddof=1) / math.sqrt(len(v)))
         miss = est - orc.value
         # se = 0: a deterministic cell, which matches up to the quadrature error or misses
         exact = abs(miss) <= orc.quadrature_error_estimate

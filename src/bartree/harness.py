@@ -14,7 +14,7 @@ pairwise order, so the worker count, chunk size, block width and execution
 order cannot change a bit of the output for a given config.
 
 A process that runs the chunk driver keeps the memory it frees. Each block
-step allocates and frees about a dozen 128 KiB temporaries; glibc's malloc
+step allocates and frees twelve 128 KiB block arrays; glibc's malloc
 would hand them back to the kernel (trim threshold) or map them afresh (mmap
 threshold), and the next step would fault every page back in. Before its
 first chunk the driver raises both thresholds, once per process, and forked

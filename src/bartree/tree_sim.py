@@ -33,7 +33,8 @@ MAX_GENERATION = 62
 # The engine's column blocks: about BLOCK_ELEMENTS cells (128 KiB of
 # float64) so that a block step stays in cache, and never narrower than
 # numpy's pairwise-summation block of 128, so that block sums merged in
-# heap order reproduce np.sum over the whole generation bit for bit.
+# heap order reproduce np.sum over the whole generation bit for bit. Each
+# pending block is an array of its own, never a view that holds a sibling.
 BLOCK_ELEMENTS = 1 << 14
 MIN_BLOCK_WIDTH = 1 << 7
 
@@ -58,20 +59,25 @@ def _mix(z: int) -> int:
 
 
 def _mix_u64(z: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer on a uint64 ndarray."""
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
+    """Vectorized splitmix64 finalizer, in place on the uint64 ndarray z,
+    which is returned. Every caller passes an array it has just made."""
+    shifted = z >> np.uint64(30)
+    z ^= shifted
     z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
 def _u64_to_uniform(out):
     """Map uint64 words to (0, 1): take the top 53 bits, offset by half
-    a step so 0 and 1 are never returned (safe under log)."""
-    return ((out >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    a step so 0 and 1 are never returned (safe under log). Shifts `out` in place."""
+    out >>= np.uint64(11)
+    u = out.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 @dataclass(frozen=True)
@@ -194,11 +200,17 @@ def stream_uniforms(states: np.ndarray, k: int) -> np.ndarray:
 
 def stream_normal_pairs(states: np.ndarray, base_k: int = 0):
     """Box-Muller pairs from draws (base_k, base_k+1) of every stream."""
-    u1 = stream_uniforms(states, base_k)
-    u2 = stream_uniforms(states, base_k + 1)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = _TWO_PI * u2
-    return r * np.cos(theta), r * np.sin(theta)
+    r = stream_uniforms(states, base_k)
+    theta = stream_uniforms(states, base_k + 1)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= _TWO_PI
+    e0 = np.cos(theta)
+    e0 *= r
+    np.sin(theta, out=theta)
+    theta *= r
+    return e0, theta
 
 
 # -- simulation --------------------------------------------------------------
@@ -248,7 +260,8 @@ def generation_blocks(
     a parent block before its children, a left block with all its
     descendants before the right one. So the blocks of one generation
     arrive left to right, and generation g's last block before g+1's.
-    Only O(n) blocks are held at once, whatever n.
+    Only O(n) blocks are held at once, whatever n: each pending block is
+    its own array and holds only itself, never a finished sibling.
 
     The root is m0 + rho0 * z, z the first normal of the reserved stream;
     a point mass (rho0 == 0) is m0, with no draw. `sample_block` maps
@@ -272,15 +285,16 @@ def generation_blocks(
             continue
         w = states.shape[1]
         first, second = sample_block(states, generation_states(keys, g, lo, w))
-        children = np.empty((rows, 2 * w))
-        children[:, 0::2] = first
-        children[:, 1::2] = second
-        del first, second, states
-        if 2 * w <= width:
-            stack.append((g + 1, 2 * lo, children))
-        else:
-            stack.append((g + 1, 2 * lo + w, children[:, w:]))
-            stack.append((g + 1, 2 * lo, children[:, :w]))
+        del states
+        # children of parent columns [c, c + h): a split makes each child
+        # block its own array, so a pending right block holds only itself
+        h = w if 2 * w <= width else w // 2
+        for c in range(w - h, -1, -h):  # the right block first: it is popped last
+            children = np.empty((rows, 2 * h))
+            children[:, 0::2] = first[:, c : c + h]
+            children[:, 1::2] = second[:, c : c + h]
+            stack.append((g + 1, 2 * (lo + c), children))
+        del first, second, children
 
 
 def merge_block_sum(stack: list, block_sum) -> None:

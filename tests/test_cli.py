@@ -281,13 +281,16 @@ def test_moments_without_cross(capsys):
 
 
 def test_moments_of_the_pinned_root_match_exactly(capsys):
-    # n = m = 0: every quantity is a power of f(x), with no sampling error
-    code, out = run_cli(
-        capsys, "moments", "--f", "id", "--n", "0", "--m", "0", "--x", "0.5", "--a", "0.5",
-        "--reps", "100",
-    )
-    assert code == 0
-    assert [row.split()[-1] for row in out.splitlines()[2:]] == ["0.00"] * 3
+    # n = m = 0: every quantity is a power of f(x), with no sampling error;
+    # the last two are cells whose mean np.mean would put one ulp off
+    for f, x, a, reps in (("id", "0.5", "0.5", "100"), ("square", "-1.3", "0.9", "100"),
+                          ("id", "0.7", "0.5", "1000")):
+        code, out = run_cli(
+            capsys, "moments", "--f", f, "--n", "0", "--m", "0", f"--x={x}", "--a", a,
+            "--reps", reps,
+        )
+        assert code == 0
+        assert [row.split()[-1] for row in out.splitlines()[2:]] == ["0.00"] * 3, out
 
 
 def test_moments_flags_a_deterministic_mismatch(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -141,6 +142,29 @@ def test_vectorized_streams_match_scalar_streams():
     assert (zi[0][0], zi[1][0]) == initial_randomness(seed).normal_pair(0)
     # a column slice of a generation is those columns of the whole one
     assert np.array_equal(tree_sim.generation_states(keys, g, 16, 8), states[:, 16:24])
+
+
+def test_vector_stages_leave_their_inputs_alone():
+    # the stages work in place, but only on arrays they have just made: no
+    # input changes, and no output shares memory with an input or another output
+    keys = tree_sim.replicate_keys(4, 0, 3)
+    states = tree_sim.generation_states(keys, 5, 8, 16)
+    parents = np.linspace(-2.0, 2.0, states.size).reshape(states.shape)
+    inputs = [keys, states, parents]
+    before = [a.copy() for a in inputs]
+    outputs = [
+        tree_sim.replicate_keys(4, 0, 3),
+        tree_sim.generation_states(keys, 5, 8, 16),
+        tree_sim.initial_states(keys),
+        tree_sim.stream_uniforms(states, 2),
+        *tree_sim.stream_normal_pairs(states, 0),
+        *bar_kernel(BarModel(0.5, 1.0))(parents, states),
+    ]
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+    arrays = inputs + outputs
+    for i, j in itertools.combinations(range(len(arrays)), 2):
+        assert not np.shares_memory(arrays[i], arrays[j]), (i, j)
 
 
 # -- simulation ---------------------------------------------------------------
