@@ -20,7 +20,6 @@ from .bar_model import (
     BarModel,
     GaussianInitial,
     BarAssumptionReport,
-    bar_kernel,
     bar_transition,
     invariant_density,
     q_power_apply,
@@ -52,6 +51,7 @@ from .harness import (
     ExperimentConfig,
     CltRunResult,
     run_clt_experiment,
+    run_clt_experiments,
     ks_distance,
     histogram,
     independence_report,

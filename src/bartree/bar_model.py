@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .quadrature import QuadratureRule
-from . import tree_sim
 from .tree_sim import NodeStream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -80,22 +79,6 @@ def bar_transition(x: float, randomness: NodeStream, model: BarModel):
     e0, e1 = randomness.normal_pair(0)
     ax = model.a * x
     return ax + model.sigma * e0, ax + model.sigma * e1
-
-
-def bar_kernel(model: BarModel):
-    """The BAR step on a block: (parent states, their stream states) of
-    equal shape -> (first children, second children). It matches
-    bar_transition node by node, bit for bit."""
-
-    def sample_block(parent_states, stream_states):
-        e0, e1 = tree_sim.stream_normal_pairs(stream_states, 0)
-        ax = model.a * parent_states
-        for e in (e0, e1):  # ax + sigma * e, in place
-            e *= model.sigma
-            e += ax
-        return e0, e1
-
-    return sample_block
 
 
 def stationary_initial(model: BarModel) -> GaussianInitial:

@@ -12,7 +12,6 @@ import numpy as np
 from .bar_model import (
     BarModel,
     GaussianInitial,
-    bar_kernel,
     check_assumptions,
     stationary_initial,
 )
@@ -74,11 +73,9 @@ def cmd_check(args) -> int:
 def _single_tree(args):
     """Generations 0..n of replicate 0 of `--seed`, stationary root; the
     depth is checked before anything is written."""
-    model = BarModel(args.a, args.sigma)
-    initial = stationary_initial(model)
-    return simulate_generations(
-        bar_kernel(model), initial.m0, initial.rho0, args.n, ReplicateSeed(args.seed, 0)
-    )
+    initial = stationary_initial(BarModel(args.a, args.sigma))
+    track = (args.a, args.sigma, initial.m0, initial.rho0)
+    return simulate_generations(track, args.n, ReplicateSeed(args.seed, 0))
 
 
 def cmd_simulate(args) -> int:

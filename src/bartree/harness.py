@@ -4,7 +4,8 @@ A run simulates n0 independent BAR trees (one replicate seed each),
 evaluates the kernel density estimator at the query point over the
 configured scope, turns each estimate into the fluctuation statistic
 zeta, and compares the n0 zeta samples against the theoretical Gaussian
-limit through the Kolmogorov-Smirnov distance.
+limit through the Kolmogorov-Smirnov distance. Runs of one master seed and
+depth share one pass: each draw serves all their models and root laws.
 
 A large run splits its replicates into one range per usable CPU, all but the
 first in forked workers, a range into vectorized chunks and a chunk's trees
@@ -14,7 +15,7 @@ pairwise order, so the worker count, chunk size, block width and execution
 order cannot change a bit of the output for a given config.
 
 A process that runs the chunk driver keeps the memory it frees. Each block
-step allocates and frees twelve 128 KiB block arrays; glibc's malloc
+step allocates and frees a dozen or so 128 KiB block arrays; glibc's malloc
 would hand them back to the kernel (trim threshold) or map them afresh (mmap
 threshold), and the next step would fault every page back in. Before its
 first chunk the driver raises both thresholds, once per process, and forked
@@ -37,13 +38,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from . import tree_sim
-from .bar_model import (
-    BarModel,
-    GaussianInitial,
-    bar_kernel,
-    invariant_density,
-    stationary_initial,
-)
+from .bar_model import BarModel, GaussianInitial, invariant_density, stationary_initial
 from .fluctuations import FluctuationSample, GaussianLimit, theoretical_limit, zeta
 from .smoothing import (
     BandwidthSchedule,
@@ -95,8 +90,9 @@ class ExperimentConfig:
 
     Construction is the gate: __post_init__ refuses every config that cannot
     run, whether built in code, by config_from_dict or by dataclasses.replace,
-    starting with a scalar not of its annotated type. Only the work (n0 >= 1,
-    MAX_NODES) is admitted later, by the chunk driver.
+    starting with a scalar not of its annotated type, and stores each float
+    field as a float. Only the work (n0 >= 1, MAX_NODES) is admitted later,
+    by the runner.
     """
 
     a: float
@@ -117,6 +113,8 @@ class ExperimentConfig:
             kinds = (int, float) if kind is float else (kind,)  # exact: a bool is no int
             if kind in (int, float, bool, str) and type(value) not in kinds:
                 raise ValueError(f"config field {name!r} must be {kind.__name__}, got {value!r}")
+            if kind is float:  # an int given for a float is written as one
+                object.__setattr__(self, name, float(value))
         BarModel(self.a, self.sigma)._require_noise("CLT experiment")
         BandwidthSchedule(self.gamma)
         if self.kernel_name not in KERNELS:
@@ -144,24 +142,8 @@ class CltRunResult:
     prev_samples: Optional[List[FluctuationSample]] = None
 
 
-def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms):
-    """Per-replicate scope sums over trees 0..reps-1 of `master_seed`.
-
-    Each term is (generations, reduce): row t of the (len(terms), reps)
-    result is, per replicate, the sum over terms[t]'s generations of
-    reduce(states), a reduction of each row of a (replicates, columns)
-    block of one generation. A generation's block reductions are merged
-    in numpy's pairwise order (tree_sim.merge_block_sum), so its sum is
-    the reduction of the whole generation bit for bit. Replicates run
-    through the engine `chunk_size` at a time (None: tree_sim.chunk_rows(n),
-    the most that keeps every block within BLOCK_ELEMENTS cells), with root
-    law `initial`, in one contiguous range per usable CPU from FORK_NODES
-    nodes up in a process with os.fork and one Python thread (else one
-    range), all but the first in forked children; neither split, chunking
-    nor block width changes a bit. A run of no replicates, or of more than
-    MAX_NODES nodes, is refused up front; an admitted run first makes this
-    process keep the memory it frees (_keep_freed_memory).
-    """
+def _admitted_nodes(n, reps):
+    """Nodes in `reps` trees of depth n, refused below one tree or above MAX_NODES."""
     if reps < 1:
         raise ValueError(f"need at least one replicate, got {reps}")
     nodes = reps * ((1 << (n + 1)) - 1)
@@ -170,12 +152,31 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms):
             f"{reps} x (2^{n + 1} - 1) = {nodes:.3g} nodes exceeds the work "
             f"limit MAX_NODES = {MAX_NODES:.3g}"
         )
+    return nodes
+
+
+def _replicate_sums(tracks, n, reps, master_seed, chunk_size, terms):
+    """Per-replicate scope sums over trees 0..reps-1 of `master_seed`, for
+    every track (a, sigma, m0, rho0) in one engine pass.
+
+    Each term is (track, generations, reduce): row t of the (len(terms), reps)
+    result is, per replicate, the sum over terms[t]'s generations of reduce
+    of each (replicates, columns) block of tracks[track]'s trees, merged in
+    numpy's pairwise order (tree_sim.merge_block_sum), so that a generation's
+    sum is that of its whole row bit for bit. Replicates run `chunk_size` at
+    a time (None: tree_sim.chunk_rows), in one contiguous range per usable
+    CPU from FORK_NODES nodes up in a process with os.fork and one Python
+    thread (else one range), all but the first in forked children; neither
+    split, chunking, block width nor the other tracks change a bit. The work
+    is admitted up front; an admitted run first makes this process keep the
+    memory it frees (_keep_freed_memory).
+    """
+    nodes = _admitted_nodes(n, reps)
     if chunk_size is None:
-        chunk_size = tree_sim.chunk_rows(n)
+        chunk_size = tree_sim.chunk_rows(n, len(tracks))
     elif chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     _keep_freed_memory()
-    sample_block = bar_kernel(model)
     # -0.0 is the exact additive identity: a one-generation term is its
     # reduction bit for bit
     out = np.full((len(terms), reps), -0.0)
@@ -184,14 +185,13 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms):
         for start in range(first, last, chunk_size):
             stop = min(start + chunk_size, last)
             keys = tree_sim.replicate_keys(master_seed, start, stop)
-            blocks = tree_sim.generation_blocks(sample_block, keys, initial.m0, initial.rho0, n)
             carries = {}  # (term, generation) -> carry stack of its block sums
-            for g, lo, states in blocks:
-                complete = lo + states.shape[1] == 1 << g
-                for t, (generations, reduce) in enumerate(terms):
+            for g, lo, states in tree_sim.generation_blocks(tracks, keys, n):
+                complete = lo + states.shape[-1] == 1 << g
+                for t, (track, generations, reduce) in enumerate(terms):
                     if g in generations:
                         stack = carries.setdefault((t, g), [])
-                        tree_sim.merge_block_sum(stack, reduce(states))
+                        tree_sim.merge_block_sum(stack, reduce(states[track]))
                         # generations complete in ascending order, so each row
                         # adds them up as a breadth-first pass would
                         if complete:
@@ -240,51 +240,77 @@ def _replicate_sums(model, initial, n, reps, master_seed, chunk_size, terms):
 
 
 def run_clt_experiment(config: ExperimentConfig, chunk_size: Optional[int] = None) -> CltRunResult:
-    """Run the full CLT experiment for `config`.
+    """Run the full CLT experiment for `config`: run_clt_experiments on it alone.
 
-    `chunk_size` is the number of replicates simulated together, by
-    default the engine's cell budget (tree_sim.chunk_rows); results are
-    bit-identical for any value. It is kept for the benchmark, whose
-    determinism check re-runs a few replicates at a small chunk.
+    `chunk_size`, the replicates simulated together (None: tree_sim.chunk_rows),
+    cannot change a bit; it is kept for the benchmark's determinism check,
+    which re-runs a few replicates at a small chunk.
     """
-    t0 = time.perf_counter()
-    model = BarModel(config.a, config.sigma)
-    schedule = BandwidthSchedule(config.gamma)
-    K = KERNELS[config.kernel_name]()
-    initial = stationary_initial(model) if config.initial == "stationary" else config.initial
-    mu_x = invariant_density(config.x, model)
-    limit = theoretical_limit(config.x, K, model)
+    return run_clt_experiments([config], chunk_size)[0]
 
-    # (scope, depth) of each statistic: zeta_n over A_n, then zeta_{n-1} over G_{n-1}
-    stats = [(config.scope, config.n)]
-    if config.record_previous_generation:
-        stats.append((GENERATION_SCOPE, config.n - 1))
-    hs = [bandwidth(g, schedule) for _, g in stats]
-    terms = [  # h=h: each term binds its own bandwidth
-        (tree_sim.scope_generations(scope, g), lambda s, h=h: parzen_sum(K, config.x, s, h))
-        for (scope, g), h in zip(stats, hs)
-    ]
-    sums = _replicate_sums(model, initial, config.n, config.n0, config.master_seed,
-                           chunk_size, terms)
-    zetas, samples = [], []
-    for (scope, g), h, row in zip(stats, hs, sums):
-        card = tree_sim.scope_size(scope, g)
-        zetas.append(zeta(row / (card * h), mu_x, card, h))
-        samples.append([
-            FluctuationSample(float(z), scope, g, config.gamma, config.x, r, config.master_seed)
-            for r, z in enumerate(zetas[-1])
-        ])
-    return CltRunResult(
-        samples=samples[0],
-        theoretical=limit,
-        ks_distance=ks_distance(zetas[0], limit.variance),
-        sample_mean=float(np.mean(zetas[0])),
-        sample_variance=float(np.var(zetas[0], ddof=1)) if config.n0 > 1 else 0.0,
-        admissibility=admissible_bandwidth(schedule, K.order, model.alpha),
-        wall_time_seconds=time.perf_counter() - t0,
-        config=config,
-        prev_samples=samples[1] if len(samples) > 1 else None,
-    )
+
+def run_clt_experiments(configs, chunk_size: Optional[int] = None) -> List[CltRunResult]:
+    """Run the CLT experiment for every config; results in their order.
+
+    Configs that share (master_seed, n) make a group: one engine pass over
+    its distinct tracks (a, sigma, m0, rho0) and its largest n0, in which
+    each statistic reads its own track and its config's first n0 replicates.
+    A replicate's sums depend on its key alone, so each result is its
+    config's solo one bit for bit, bar wall_time_seconds: its group's pass.
+    """
+    groups = {}
+    for i, config in enumerate(configs):  # admitting every config first admits every group
+        _admitted_nodes(config.n, config.n0)
+        groups.setdefault((config.master_seed, config.n), []).append(i)
+    results = [None] * len(configs)
+    for (master_seed, n), group in groups.items():
+        t0 = time.perf_counter()
+        tracks, terms, plans = {}, [], []  # tracks: (a, sigma, m0, rho0) -> its index
+        for i in group:
+            config = configs[i]
+            model = BarModel(config.a, config.sigma)
+            schedule = BandwidthSchedule(config.gamma)
+            K = KERNELS[config.kernel_name]()
+            initial = (stationary_initial(model) if config.initial == "stationary"
+                       else config.initial)
+            t = tracks.setdefault((config.a, config.sigma, initial.m0, initial.rho0), len(tracks))
+            # (scope, depth) of each statistic: zeta_n over A_n, then zeta_{n-1} over G_{n-1}
+            stats = [(config.scope, n)]
+            if config.record_previous_generation:
+                stats.append((GENERATION_SCOPE, n - 1))
+            stats = [(scope, g, bandwidth(g, schedule)) for scope, g in stats]
+            terms += [  # K=K, x=x, h=h: each term binds its own
+                (t, tree_sim.scope_generations(scope, g),
+                 lambda s, K=K, x=config.x, h=h: parzen_sum(K, x, s, h))
+                for scope, g, h in stats
+            ]
+            plans.append((i, config, model, schedule, K, stats))
+        reps = max(configs[i].n0 for i in group)
+        sums = iter(_replicate_sums(list(tracks), n, reps, master_seed, chunk_size, terms))
+        wall = time.perf_counter() - t0
+        for i, config, model, schedule, K, stats in plans:
+            mu_x = invariant_density(config.x, model)
+            limit = theoretical_limit(config.x, K, model)
+            zetas, samples = [], []
+            for (scope, g, h), row in zip(stats, sums):
+                card = tree_sim.scope_size(scope, g)
+                zetas.append(zeta(row[: config.n0] / (card * h), mu_x, card, h))
+                samples.append([
+                    FluctuationSample(float(z), scope, g, config.gamma, config.x, r, master_seed)
+                    for r, z in enumerate(zetas[-1])
+                ])
+            results[i] = CltRunResult(
+                samples=samples[0],
+                theoretical=limit,
+                ks_distance=ks_distance(zetas[0], limit.variance),
+                sample_mean=float(np.mean(zetas[0])),
+                sample_variance=float(np.var(zetas[0], ddof=1)) if config.n0 > 1 else 0.0,
+                admissibility=admissible_bandwidth(schedule, K.order, model.alpha),
+                wall_time_seconds=wall,
+                config=config,
+                prev_samples=samples[1] if len(samples) > 1 else None,
+            )
+    return results
 
 
 def ks_distance(samples, variance: float) -> float:
@@ -380,9 +406,9 @@ def monte_carlo_generation_sums(
     if not f_by_gen or min(f_by_gen) < 0:
         raise ValueError(f"need generations >= 0, got {sorted(f_by_gen)}")
     model._require_noise("moment Monte Carlo")
-    terms = [(range(g, g + 1), lambda s, f=f: f(s).sum(axis=1)) for g, f in f_by_gen.items()]
-    root = GaussianInitial(float(x), 0.0)
-    sums = _replicate_sums(model, root, max(f_by_gen), reps, master_seed, None, terms)
+    terms = [(0, range(g, g + 1), lambda s, f=f: f(s).sum(axis=1)) for g, f in f_by_gen.items()]
+    track = (model.a, model.sigma, float(x), 0.0)  # the root pinned at x
+    sums = _replicate_sums([track], max(f_by_gen), reps, master_seed, None, terms)
     return dict(zip(f_by_gen, sums))
 
 
@@ -402,7 +428,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                 raise ValueError(f"config field 'initial' has unknown key {key!r}")
             if type(init[key]) not in (int, float):
                 raise ValueError(f"config field 'initial.{key}' must be float, got {init[key]!r}")
-        d["initial"] = GaussianInitial(**init)
+        d["initial"] = GaussianInitial(float(init["m0"]), float(init["rho0"]))
     return ExperimentConfig(**d)
 
 

@@ -18,7 +18,7 @@ states never collide within a replicate.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -30,11 +30,11 @@ _MIX2 = 0x94D049BB133111EB
 # Heap codes live in uint64; generation 63 would overflow 2^g + i.
 MAX_GENERATION = 62
 
-# The engine's column blocks: about BLOCK_ELEMENTS cells (128 KiB of
-# float64) so that a block step stays in cache, and never narrower than
-# numpy's pairwise-summation block of 128, so that block sums merged in
-# heap order reproduce np.sum over the whole generation bit for bit. Each
-# pending block is an array of its own, never a view that holds a sibling.
+# The engine's column blocks: about BLOCK_ELEMENTS cells across all tracks
+# (128 KiB of float64) so that a block step stays in cache, and never
+# narrower than numpy's pairwise-summation block of 128, so that block sums
+# merged in heap order reproduce np.sum over the whole generation bit for
+# bit. Each pending block is an array of its own, never a view of a sibling.
 BLOCK_ELEMENTS = 1 << 14
 MIN_BLOCK_WIDTH = 1 << 7
 
@@ -229,70 +229,70 @@ def check_depth(n: int) -> None:
         raise ValueError(f"tree depth n={n} out of range 0..{MAX_GENERATION}")
 
 
-def _block_width(rows: int) -> int:
-    """Width of the engine's column blocks for `rows` replicates: the
-    largest power of two whose block has at most BLOCK_ELEMENTS cells,
-    and never below MIN_BLOCK_WIDTH."""
-    cells = BLOCK_ELEMENTS // rows
+def _block_width(column_cells: int) -> int:
+    """Width of the engine's column blocks for `column_cells` cells a column
+    (replicates times tracks): the largest power of two whose block has at
+    most BLOCK_ELEMENTS cells, and never below MIN_BLOCK_WIDTH."""
+    cells = BLOCK_ELEMENTS // column_cells
     widest = 1 << (cells.bit_length() - 1) if cells else 0
     return max(MIN_BLOCK_WIDTH, widest)
 
 
-def chunk_rows(n: int) -> int:
-    """Replicates per chunk at depth n: the most whose widest block fits BLOCK_ELEMENTS."""
-    return max(1, BLOCK_ELEMENTS // min(1 << n, MIN_BLOCK_WIDTH))
+def chunk_rows(n: int, tracks: int) -> int:
+    """Replicates per chunk at depth n for a pass over `tracks` tracks: the
+    most whose widest block, across the tracks, fits BLOCK_ELEMENTS."""
+    return max(1, BLOCK_ELEMENTS // (tracks * min(1 << n, MIN_BLOCK_WIDTH)))
 
 
-def generation_blocks(
-    sample_block: Callable[[np.ndarray, np.ndarray], tuple],
-    keys: np.ndarray,
-    m0: float,
-    rho0: float,
-    n: int,
-) -> Iterator[tuple]:
-    """Yield (g, lo, states) over a block of replicates, depth first, for
-    every column block of generations 0..n.
+def generation_blocks(tracks, keys: np.ndarray, n: int) -> Iterator[tuple]:
+    """Yield (g, lo, states) for every column block of generations 0..n of
+    a block of replicates, depth first, for every track at once.
 
-    states has shape (len(keys), w): row r holds nodes (g, lo)..(g, lo+w-1)
-    of the tree keyed keys[r]. A generation is one block (w = 2^g) while
-    it fits in the block width, and is split into blocks of that width
-    further down; widths are powers of two. Blocks come in heap order:
-    a parent block before its children, a left block with all its
-    descendants before the right one. So the blocks of one generation
-    arrive left to right, and generation g's last block before g+1's.
-    Only O(n) blocks are held at once, whatever n: each pending block is
-    its own array and holds only itself, never a finished sibling.
+    A track is a row (a, sigma, m0, rho0): a BAR model and its root law
+    N(m0, rho0^2). states[t, r] holds nodes (g, lo)..(g, lo+w-1) of track
+    t's tree keyed keys[r]. A generation is one block (w = 2^g) while it
+    fits the block width and is split into blocks of that width further
+    down; widths are powers of two. Blocks come in heap order (a parent
+    before its children, a left block and its descendants before the right
+    one), so one generation's blocks arrive left to right, and generation
+    g's last block before g+1's. Each pending block is its own array, so
+    only O(n) blocks are held at once, and a yielded block is never written.
 
-    The root is m0 + rho0 * z, z the first normal of the reserved stream;
-    a point mass (rho0 == 0) is m0, with no draw. `sample_block` maps
-    (parent states, their stream states) of equal shape to the arrays of
-    first and second children: node (g, i) draws its children (g+1, 2i)
-    and (g+1, 2i+1) from its own stream.
+    The draws are made once for all tracks: the root is m0 + rho0 * z, z the
+    first normal of the reserved stream, or m0 itself for a point mass
+    (rho0 == 0; nothing is drawn if every root is one), and node (g, i)
+    gives its children (g+1, 2i) and (g+1, 2i+1) a*x + sigma*e from the
+    normal pair e of its own stream: each track's trees are those it grows alone.
     """
     check_depth(n)
+    a, sigma, m0, rho0 = np.asarray(tracks, dtype=float).reshape(-1, 4).T[:, :, None, None]
     rows = len(keys)
-    width = _block_width(rows)
-    if rho0 == 0:
-        root = np.full((rows, 1), float(m0))
-    else:
+    width = _block_width(len(a) * rows)
+    root = np.repeat(m0, rows, axis=1)
+    drawn = rho0[:, 0, 0] != 0
+    if drawn.any():
         z0, _ = stream_normal_pairs(initial_states(keys), 0)
-        root = (m0 + rho0 * z0)[:, None]
+        root[drawn] += rho0[drawn] * z0[:, None]
     stack = [(0, 0, root)]
     while stack:
         g, lo, states = stack.pop()
         yield g, lo, states
         if g == n:
             continue
-        w = states.shape[1]
-        first, second = sample_block(states, generation_states(keys, g, lo, w))
-        del states
-        # children of parent columns [c, c + h): a split makes each child
-        # block its own array, so a pending right block holds only itself
+        w = states.shape[-1]
+        e0, e1 = stream_normal_pairs(generation_states(keys, g, lo, w), 0)
+        ax = a * states
+        first = sigma * e0
+        first += ax
+        del states, e0
+        second = sigma * e1
+        second += ax
+        del e1, ax
         h = w if 2 * w <= width else w // 2
         for c in range(w - h, -1, -h):  # the right block first: it is popped last
-            children = np.empty((rows, 2 * h))
-            children[:, 0::2] = first[:, c : c + h]
-            children[:, 1::2] = second[:, c : c + h]
+            children = np.empty((len(a), rows, 2 * h))
+            children[..., 0::2] = first[..., c : c + h]
+            children[..., 1::2] = second[..., c : c + h]
             stack.append((g + 1, 2 * (lo + c), children))
         del first, second, children
 
@@ -316,21 +316,13 @@ def merge_block_sum(stack: list, block_sum) -> None:
     stack.append((level, block_sum))
 
 
-def simulate_generations(
-    sample_block: Callable[[np.ndarray, np.ndarray], tuple],
-    m0: float,
-    rho0: float,
-    n: int,
-    seed: ReplicateSeed,
-) -> Iterator[GenerationBuffer]:
-    """GenerationBuffer for g = 0..n of one replicate's tree, root law
-    N(m0, rho0^2), from the block engine.
+def simulate_generations(track, n: int, seed: ReplicateSeed) -> Iterator[GenerationBuffer]:
+    """GenerationBuffer for g = 0..n of one replicate's tree for `track`
+    (a, sigma, m0, rho0), from the block engine.
 
-    The depth is checked, against MAX_STORED_DEPTH too, before the
-    generator is returned. The whole tree, 2^(n+1) - 1 values, is
-    assembled from the engine's blocks when the first generation is
-    requested, since the engine finishes the generations in depth-first
-    order.
+    The depth is checked, against MAX_STORED_DEPTH too, before the generator
+    is returned. The engine finishes generations depth first, so the whole
+    tree, 2^(n+1) - 1 values, is assembled when the first one is requested.
     """
     check_depth(n)
     if n > MAX_STORED_DEPTH:
@@ -342,8 +334,8 @@ def simulate_generations(
 
     def assembled():
         tree = [np.empty(1 << g) for g in range(n + 1)]
-        for g, lo, states in generation_blocks(sample_block, keys, m0, rho0, n):
-            tree[g][lo : lo + states.shape[1]] = states[0]
+        for g, lo, states in generation_blocks([track], keys, n):
+            tree[g][lo : lo + states.shape[-1]] = states[0, 0]
         for g, states in enumerate(tree):
             yield GenerationBuffer(g, states)
 

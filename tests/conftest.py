@@ -95,7 +95,7 @@ def forced_split(monkeypatch):
         cpus = set(range(workers))
         monkeypatch.setattr(harness, "FORK_NODES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        rows = chunk_rows if chunk is None else lambda n: chunk
+        rows = chunk_rows if chunk is None else lambda n, tracks: chunk
         monkeypatch.setattr(tree_sim, "chunk_rows", rows)
 
     return force

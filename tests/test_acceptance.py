@@ -33,7 +33,6 @@ from scipy.special import ndtr
 
 from bartree.bar_model import (
     BarModel,
-    bar_kernel,
     invariant_density,
     q_power_apply,
 )
@@ -45,6 +44,7 @@ from bartree.harness import (
     ks_distance,
     monte_carlo_generation_sums,
     run_clt_experiment,
+    run_clt_experiments,
 )
 from bartree.oracle import cross_moment_MGn_MGm, mean_MGn, second_moment_MGn
 from bartree.smoothing import (
@@ -72,40 +72,58 @@ LIMIT_NS = (15, 18, 22, 26, 30)
 LIMIT_TOL = 0.1
 
 
-def _battery(a, gamma, scope=GENERATION_SCOPE, record=False):
-    runs = []
-    for seed in SEEDS:
-        cfg = ExperimentConfig(
+# fixture name -> (a, gamma, scope, record_previous_generation)
+BATTERIES = {
+    "runs_a05_gen": (0.5, 0.201, GENERATION_SCOPE, True),
+    "runs_a07_gen": (0.7, 0.201, GENERATION_SCOPE, False),
+    "runs_a09_g696": (0.9, 0.696, GENERATION_SCOPE, False),
+    "runs_a09_g201": (0.9, 0.201, GENERATION_SCOPE, False),
+    "runs_a05_tree": (0.5, 0.201, TREE_SCOPE, False),
+}
+
+
+def _battery_configs(seed):
+    """Every battery's config at one master seed, in BATTERIES order."""
+    return [
+        ExperimentConfig(
             a=a, sigma=1.0, n=N, gamma=gamma, x=X, n0=N0,
             scope=scope, master_seed=seed, record_previous_generation=record,
         )
-        runs.append(run_clt_experiment(cfg))
-    return runs
+        for a, gamma, scope, record in BATTERIES.values()
+    ]
 
 
 @pytest.fixture(scope="module")
-def runs_a05_gen():
-    return _battery(0.5, 0.201, record=True)
+def batteries():
+    """Each battery's runs over SEEDS, from one engine pass per seed: the
+    batteries differ only in a, gamma and scope, so they share their noise."""
+    per_seed = [run_clt_experiments(_battery_configs(seed)) for seed in SEEDS]
+    return {name: [runs[k] for runs in per_seed] for k, name in enumerate(BATTERIES)}
 
 
 @pytest.fixture(scope="module")
-def runs_a07_gen():
-    return _battery(0.7, 0.201)
+def runs_a05_gen(batteries):
+    return batteries["runs_a05_gen"]
 
 
 @pytest.fixture(scope="module")
-def runs_a09_g696():
-    return _battery(0.9, 0.696)
+def runs_a07_gen(batteries):
+    return batteries["runs_a07_gen"]
 
 
 @pytest.fixture(scope="module")
-def runs_a09_g201():
-    return _battery(0.9, 0.201)
+def runs_a09_g696(batteries):
+    return batteries["runs_a09_g696"]
 
 
 @pytest.fixture(scope="module")
-def runs_a05_tree():
-    return _battery(0.5, 0.201, scope=TREE_SCOPE)
+def runs_a09_g201(batteries):
+    return batteries["runs_a09_g201"]
+
+
+@pytest.fixture(scope="module")
+def runs_a05_tree(batteries):
+    return batteries["runs_a05_tree"]
 
 
 def _ks_list(runs):
@@ -453,6 +471,18 @@ def test_criterion8_chunking_determinism(tmp_path, forced_block_widths):
         )
 
 
+def test_criterion8_shared_pass_equals_solo_runs(batteries):
+    # one pass per seed is invisible: at the first seed, every battery's
+    # zeta_n (and zeta_{n-1} where recorded) equal its solo run bit for bit
+    for name, config in zip(BATTERIES, _battery_configs(SEEDS[0])):
+        shared, solo = batteries[name][0], run_clt_experiment(config)
+        assert shared.config == config
+        assert [s.zeta for s in shared.samples] == [s.zeta for s in solo.samples], name
+        prev = [[s.zeta for s in r.prev_samples or []] for r in (shared, solo)]
+        assert prev[0] == prev[1] and bool(prev[0]) == config.record_previous_generation, name
+        assert shared.ks_distance == solo.ks_distance, name
+
+
 def test_criterion8_stream_vs_stored(model_half, forced_split, forced_block_widths):
     # the moment Monte Carlo streams blocks of replicates and of columns
     # through the engine and keeps only per-replicate generation sums; at
@@ -460,9 +490,10 @@ def test_criterion8_stream_vs_stored(model_half, forced_split, forced_block_widt
     # over each tree stored whole
     f = lambda y: np.exp(-np.abs(y))
     x, reps, seed = -1.3, 5, 5
+    track = (model_half.a, model_half.sigma, x, 0.0)
     for n in (3, 7, 10):
         stored = [
-            list(simulate_generations(bar_kernel(model_half), x, 0.0, n, ReplicateSeed(seed, r)))
+            list(simulate_generations(track, n, ReplicateSeed(seed, r)))
             for r in range(reps)
         ]
         f_by_gen = {g: f for g in range(n + 1)}

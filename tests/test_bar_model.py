@@ -8,14 +8,13 @@ from bartree import tree_sim
 from bartree.bar_model import (
     BarModel,
     GaussianInitial,
-    bar_kernel,
     bar_transition,
     check_assumptions,
     invariant_density,
     q_power_apply,
     stationary_initial,
 )
-from bartree.tree_sim import NodeAddress, ReplicateSeed, node_randomness
+from bartree.tree_sim import NodeAddress, ReplicateSeed, initial_randomness, node_randomness
 
 # direct evaluations of the closed forms, frozen at high precision
 MU_0_A05 = 0.345494149471335479
@@ -70,13 +69,19 @@ def test_transition_children_mean():
     assert abs(children.mean() - 0.5) < 3.0 / math.sqrt(children.size)
 
 
+def _first_generation(track, master_seed, reps):
+    """(roots, first children, second children) of trees 0..reps-1 of
+    `master_seed` for `track`, from one pass of the engine."""
+    keys = tree_sim.replicate_keys(master_seed, 0, reps)
+    (_, _, roots), (_, _, children) = tree_sim.generation_blocks([track], keys, 1)
+    return roots[0, :, 0], children[0, :, 0], children[0, :, 1]
+
+
 def test_transition_marginal_is_Q_kernel():
     # child 0 given x: N(a x, sigma^2); KS against the exact CDF, 1% level
     model = BarModel(0.7, 1.3)
     x = 0.9
-    keys = np.array([ReplicateSeed(8, 0).key()], dtype=np.uint64)
-    states = tree_sim.generation_states(keys, 17)[0][:100_000]
-    c0, _ = bar_kernel(model)(np.full(states.shape, x), states)
+    _, c0, _ = _first_generation((model.a, model.sigma, x, 0.0), 8, 100_000)
     z = np.sort((c0 - model.a * x) / model.sigma)
     n = z.size
     grid = ndtr(z)
@@ -85,28 +90,33 @@ def test_transition_marginal_is_Q_kernel():
 
 
 def test_sibling_conditional_independence():
-    # corr(eps0, eps1) over 10^5 parent draws, within +/- 3/sqrt(10^5)
+    # corr(eps0, eps1) over 10^5 stationary parents, within +/- 3/sqrt(10^5)
     model = BarModel(0.5, 1.0)
-    keys = np.array([ReplicateSeed(77, 0).key()], dtype=np.uint64)
-    parent_states = tree_sim.generation_states(keys, 17)[0][:100_000]
-    parents = model.sigma_a * tree_sim.stream_normal_pairs(parent_states[None, :], 2)[0][0]
-    c0, c1 = bar_kernel(model)(parents, parent_states[None, :][0])
+    parents, c0, c1 = _first_generation((model.a, model.sigma, 0.0, model.sigma_a), 77, 100_000)
     e0, e1 = c0 - model.a * parents, c1 - model.a * parents
     corr = float(np.corrcoef(e0, e1)[0, 1])
     assert abs(corr) < 3.0 / math.sqrt(e0.size)
 
 
 def test_kernel_block_matches_scalar():
-    model = BarModel(0.6, 0.8)
+    # every track of one engine pass, a point-mass root beside a random one,
+    # is the tree the scalar spec grows node by node, bit for bit
     seed = ReplicateSeed(4, 9)
-    keys = np.array([seed.key()], dtype=np.uint64)
-    g = 3
-    states = tree_sim.generation_states(keys, g)
-    parents = np.linspace(-2, 2, 1 << g)
-    b0, b1 = bar_kernel(model)(parents[None, :], states)
-    for i in range(1 << g):
-        s0, s1 = bar_transition(parents[i], node_randomness(seed, NodeAddress(g, i)), model)
-        assert (b0[0, i], b1[0, i]) == (s0, s1)
+    keys = tree_sim.replicate_keys(4, 9, 10)
+    tracks = [(0.6, 0.8, -0.4, 0.0), (-0.3, 1.7, 0.2, 0.9)]
+    n = 4
+    trees = np.zeros((len(tracks), n + 1, 1 << n))
+    for g, lo, states in tree_sim.generation_blocks(tracks, keys, n):
+        trees[:, g, lo : lo + states.shape[-1]] = states[:, 0]
+    z0 = initial_randomness(seed).normal_pair(0)[0]
+    for (a, sigma, m0, rho0), tree in zip(tracks, trees):
+        model = BarModel(a, sigma)
+        assert tree[0, 0] == (m0 + rho0 * z0 if rho0 else m0)
+        for g in range(n):
+            for i in range(1 << g):
+                stream = node_randomness(seed, NodeAddress(g, i))
+                children = tuple(tree[g + 1, 2 * i : 2 * i + 2])
+                assert bar_transition(tree[g, i], stream, model) == children
 
 
 # -- closed forms -------------------------------------------------------------

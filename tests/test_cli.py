@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bartree.bar_model import BarModel, bar_kernel, stationary_initial
+from bartree.bar_model import BarModel, stationary_initial
 from bartree import cli
 from bartree.cli import main
 from bartree.harness import ExperimentConfig, run_clt_experiment
@@ -90,9 +90,8 @@ def test_simulate_dump_matches_stdout(capsys, tmp_path):
 def _library_estimate(a, n, gamma, xs, seed, tree=False):
     model = BarModel(a, 1.0)
     initial = stationary_initial(model)
-    gens = simulate_generations(
-        bar_kernel(model), initial.m0, initial.rho0, n, ReplicateSeed(seed, 0)
-    )
+    track = (model.a, model.sigma, initial.m0, initial.rho0)
+    gens = simulate_generations(track, n, ReplicateSeed(seed, 0))
     parts = [buf.states for buf in gens if tree or buf.generation == n]
     h = bandwidth(n, BandwidthSchedule(gamma))
     return density_estimate(np.concatenate(parts), np.asarray(xs), h, gaussian_kernel())
@@ -188,6 +187,29 @@ def test_clt_json_config(capsys, tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["config"]["initial"] == {"m0": 0.0, "rho0": 0.5}
+
+
+@pytest.mark.parametrize("text, initial_flags", [
+    ("a = 0.5\nsigma = 1\nn = 5\ngamma = 0.201\nx = 0\nn0 = 6\n", []),
+    ('{"a": 0.5, "sigma": 1, "n": 5, "gamma": 0.201, "x": 0, "n0": 6,'
+     ' "initial": {"m0": 0, "rho0": 1}}', ["--m0", "0", "--rho0", "1"]),
+], ids=["key_value", "json_initial"])
+def test_clt_int_for_a_float_writes_the_flags_bytes(capsys, tmp_path, text, initial_flags):
+    # an int given for a float field, in a config file or in a JSON initial
+    # object, is stored as a float: the run writes what the flags write
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    flags = ["--a", "0.5", "--n", "5", "--gamma", "0.201", "--x", "0", "--n0", "6"]
+    written = []
+    for name, argv in (("file", ["--config", str(cfg)]), ("flags", flags + initial_flags)):
+        out = tmp_path / name
+        assert run_cli(capsys, "clt", *argv, "--out", str(out))[0] == 0
+        summary = (out / "summary.json").read_text().splitlines()
+        summary = [line for line in summary if '"wall_time_seconds"' not in line]
+        written.append(((out / "samples.csv").read_bytes(), summary))
+    assert written[0] == written[1]
+    assert b",0.0," in written[0][0]
+    assert {'    "sigma": 1.0,', '    "x": 0.0'} <= set(written[0][1])
 
 
 def test_clt_samples_reproducible_across_invocations(capsys, tmp_path):

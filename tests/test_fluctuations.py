@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bartree.bar_model import BarModel, bar_kernel, invariant_density, stationary_initial
+from bartree.bar_model import BarModel, invariant_density, stationary_initial
 from bartree.fluctuations import cross_generation_pairs, theoretical_limit, zeta
 from bartree.harness import ExperimentConfig, run_clt_experiment
 from bartree.smoothing import BandwidthSchedule, bandwidth, density_estimate, gaussian_kernel
@@ -19,11 +19,8 @@ VAR_A0_X0 = 0.112539539519638259
 
 def _simulate_tree(model, n, seed=0, rep=0):
     initial = stationary_initial(model)
-    return list(
-        simulate_generations(
-            bar_kernel(model), initial.m0, initial.rho0, n, ReplicateSeed(seed, rep)
-        )
-    )
+    track = (model.a, model.sigma, initial.m0, initial.rho0)
+    return list(simulate_generations(track, n, ReplicateSeed(seed, rep)))
 
 
 # -- zeta ---------------------------------------------------------------------

@@ -104,6 +104,19 @@ def test_work_is_refused_before_any_key(monkeypatch, model_half):
     monkeypatch.setattr(tree_sim, "replicate_keys", no_keys)
     with pytest.raises(ValueError, match="work limit MAX_NODES"):
         run_clt_experiment(_config(n=40, n0=1))
+    # a group of configs is as large as its largest member: at n = 30, five
+    # trees exceed MAX_NODES and four do not, whatever the other members. An
+    # n = 6 group comes first: every group is admitted before the first pass,
+    # so a refused n = 30 group costs no key, and an admitted one lets the
+    # n = 6 pass reach its keys
+    assert 4 * (2**31 - 1) <= MAX_NODES < 5 * (2**31 - 1)
+    for n0s, admitted in [((5,), False), ((4,), True), ((4, 4, 3), True),
+                          ((4, 5, 1), False), ((5, 5), False)]:
+        configs = [_config(n=6)] + [_config(n=30, n0=n0, a=0.1 * k) for k, n0 in enumerate(n0s)]
+        error, match = (AssertionError, "a replicate key") if admitted else (
+            ValueError, "work limit MAX_NODES")
+        with pytest.raises(error, match=match):
+            harness.run_clt_experiments(configs)
     with pytest.raises(ValueError, match="at least one replicate"):
         monte_carlo_generation_sums({2: np.sin}, 0.5, model_half, reps=0)
     with pytest.raises(ValueError, match=r"need generations >= 0, got \[-1, 2\]"):
@@ -205,8 +218,8 @@ def test_chunk_size_is_invisible(forced_block_widths):
 
 def _sin_sums(model, reduce=lambda s: np.sin(s).sum(axis=1)):
     """_replicate_sums over generation 3 of 12 replicates rooted at 0.4."""
-    return harness._replicate_sums(model, GaussianInitial(0.4, 0.0), 3, 12, 5, None,
-                                   [(range(3, 4), reduce)])
+    return harness._replicate_sums([(model.a, model.sigma, 0.4, 0.0)], 3, 12, 5, None,
+                                   [(0, range(3, 4), reduce)])
 
 
 def test_worker_count_is_invisible(forced_split, forced_block_widths, model_half):
@@ -315,28 +328,38 @@ def test_workers_leave_without_flushing_the_callers_buffers(forced_split, model_
 
 
 def test_chunk_rows_fit_the_block_budget():
-    for n in range(tree_sim.MAX_GENERATION + 1):
-        rows = tree_sim.chunk_rows(n)
+    # the rows shrink as the tracks of a pass grow
+    for n, tracks in itertools.product(range(tree_sim.MAX_GENERATION + 1), (1, 2, 3, 5)):
+        rows = tree_sim.chunk_rows(n, tracks)
         assert rows >= 1
-        assert rows * min(2**n, tree_sim.MIN_BLOCK_WIDTH) <= tree_sim.BLOCK_ELEMENTS, n
+        assert tracks * rows * min(2**n, tree_sim.MIN_BLOCK_WIDTH) <= tree_sim.BLOCK_ELEMENTS
 
 
 def test_default_chunk_keeps_blocks_in_budget(monkeypatch, model_half):
-    # every block the engine draws stream states for holds at most
-    # BLOCK_ELEMENTS cells at the default chunk, at shallow and deep n,
-    # however many replicates the run asks for
+    # every block the engine draws stream states for, and every block it
+    # yields, across all its tracks, holds at most BLOCK_ELEMENTS cells at
+    # the default chunk, at shallow and deep n, however many replicates the
+    # run asks for and however many tracks share the pass
     cells = []
-    states = tree_sim.generation_states
+    states, blocks = tree_sim.generation_states, tree_sim.generation_blocks
 
-    def recording(keys, generation, lo, width):
+    def recording_states(keys, generation, lo, width):
         cells.append(len(keys) * width)
         return states(keys, generation, lo, width)
 
-    monkeypatch.setattr(tree_sim, "generation_states", recording)
+    def recording_blocks(tracks, keys, n):
+        for g, lo, block in blocks(tracks, keys, n):
+            cells.append(block.size)
+            yield g, lo, block
+
+    monkeypatch.setattr(tree_sim, "generation_states", recording_states)
+    monkeypatch.setattr(tree_sim, "generation_blocks", recording_blocks)
     for n in (3, 10):
         monte_carlo_generation_sums({n: np.sin}, 0.4, model_half, 300, master_seed=2)
     for n, n0 in ((10, 300), (15, 130)):
         run_clt_experiment(_config(n=n, n0=n0))
+    three_tracks = [_config(n=10, n0=300, a=a) for a in (0.2, 0.5, 0.9)]
+    assert len(harness.run_clt_experiments(three_tracks)) == 3
     assert cells and max(cells) <= tree_sim.BLOCK_ELEMENTS, max(cells)
 
 
@@ -395,11 +418,10 @@ def test_block_steps_do_not_fault_their_temporaries_back_in():
         "import resource\n"
         "import numpy as np\n"
         "from bartree import harness\n"
-        "from bartree.bar_model import BarModel, GaussianInitial\n"
         "harness.FORK_NODES = 2**62\n"  # serial: ru_minflt counts this process only
         "def run():\n"
-        "    harness._replicate_sums(BarModel(0.5, 1.0), GaussianInitial(0.0, 1.0), 15, 256, 3,"
-        " None, [(range(15, 16), lambda s: np.sin(s).sum(axis=1))])\n"
+        "    harness._replicate_sums([(0.5, 1.0, 0.0, 1.0)], 15, 256, 3,"
+        " None, [(0, range(15, 16), lambda s: np.sin(s).sum(axis=1))])\n"
         "run()\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "run()\n"
@@ -458,6 +480,42 @@ def test_clt_zetas_match_scalar_spec(scope):
         assert res.samples[r].zeta == _scalar_spec_zeta(gens, members, h, cfg.x, mu_x)
         want_prev = _scalar_spec_zeta(gens, [cfg.n - 1], h_prev, cfg.x, mu_x)
         assert res.prev_samples[r].zeta == want_prev
+
+
+def test_grouping_is_invisible(monkeypatch, forced_split, forced_block_widths):
+    # one group holds two values of a, both scopes, the previous generation,
+    # a point-mass root beside a stationary one, two configs on one track
+    # and four values of n0; every result is its config's solo run bit for
+    # bit (bar the wall time), at any worker count and block width. Configs
+    # of another seed or another n make groups of their own.
+    group = [
+        _config(n=7, n0=9, record_previous_generation=True),
+        _config(n=7, n0=5, a=0.7, scope=TREE_SCOPE),
+        _config(n=7, n0=12, a=0.7, initial=GaussianInitial(0.4, 0.0),
+                record_previous_generation=True),
+        _config(n=7, n0=3, gamma=0.3, x=0.2),  # the first config's track
+    ]
+    others = [_config(n=7, n0=4, master_seed=4), _config(n=6, n0=4)]
+    configs = group[:2] + others[:1] + group[2:] + others[1:]
+    timeless = lambda r: dataclasses.replace(r, wall_time_seconds=0.0)
+    solo = [timeless(run_clt_experiment(c)) for c in configs]
+    passes = []
+    replicate_sums = harness._replicate_sums
+
+    def recording(tracks, n, reps, master_seed, *rest):
+        passes.append((len(tracks), n, reps, master_seed))
+        return replicate_sums(tracks, n, reps, master_seed, *rest)
+
+    monkeypatch.setattr(harness, "_replicate_sums", recording)
+    for width in itertools.chain(["default"], forced_block_widths()):
+        for workers in (1, 2, 3):
+            forced_split(workers)
+            passes.clear()
+            results = harness.run_clt_experiments(configs)
+            assert [timeless(r) for r in results] == solo, (width, workers)
+            assert sorted(passes) == [(1, 6, 4, 3), (1, 7, 4, 4), (3, 7, 12, 3)]
+            group_times = {results[i].wall_time_seconds for i in (0, 1, 3, 4)}
+            assert len(group_times) == 1
 
 
 # -- previous-generation recording ----------------------------------------------

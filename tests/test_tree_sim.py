@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bartree import tree_sim
-from bartree.bar_model import BarModel, bar_kernel, bar_transition, stationary_initial
+from bartree.bar_model import BarModel, bar_transition, stationary_initial
 from bartree.tree_sim import (
     GENERATION_SCOPE,
     MAX_GENERATION,
@@ -24,14 +24,19 @@ from bartree.tree_sim import (
 )
 
 
-def constant_tree_kernel(parents, streams):
-    # children copy the parent; useful as a degenerate oracle
-    return parents, parents
+def copy_track(c):
+    # a = 1, sigma = 0 and a point mass at c: every child copies its
+    # parent, so every node is c; useful as a degenerate oracle
+    return (1.0, 0.0, c, 0.0)
+
+
+def stationary_track(model):
+    initial = stationary_initial(model)
+    return (model.a, model.sigma, initial.m0, initial.rho0)
 
 
 def stationary_tree(model, n, seed):
-    initial = stationary_initial(model)
-    return simulate_generations(bar_kernel(model), initial.m0, initial.rho0, n, seed)
+    return simulate_generations(stationary_track(model), n, seed)
 
 
 # -- addressing ---------------------------------------------------------------
@@ -149,8 +154,7 @@ def test_vector_stages_leave_their_inputs_alone():
     # input changes, and no output shares memory with an input or another output
     keys = tree_sim.replicate_keys(4, 0, 3)
     states = tree_sim.generation_states(keys, 5, 8, 16)
-    parents = np.linspace(-2.0, 2.0, states.size).reshape(states.shape)
-    inputs = [keys, states, parents]
+    inputs = [keys, states]
     before = [a.copy() for a in inputs]
     outputs = [
         tree_sim.replicate_keys(4, 0, 3),
@@ -158,13 +162,27 @@ def test_vector_stages_leave_their_inputs_alone():
         tree_sim.initial_states(keys),
         tree_sim.stream_uniforms(states, 2),
         *tree_sim.stream_normal_pairs(states, 0),
-        *bar_kernel(BarModel(0.5, 1.0))(parents, states),
     ]
     for a, b in zip(inputs, before):
         assert np.array_equal(a, b)
     arrays = inputs + outputs
     for i, j in itertools.combinations(range(len(arrays)), 2):
         assert not np.shares_memory(arrays[i], arrays[j]), (i, j)
+
+
+def test_engine_never_writes_into_a_yielded_block(forced_block_widths):
+    # a caller may keep the blocks it is given: after the walk, each one
+    # still holds what it held when yielded, and no two share memory
+    keys = tree_sim.replicate_keys(4, 0, 3)
+    tracks = [(0.5, 1.0, 0.0, 1.2), (-0.3, 2.0, 0.7, 0.0)]
+    for _ in forced_block_widths():
+        blocks = tree_sim.generation_blocks(tracks, keys, 9)
+        kept = [(states, states.copy()) for _, _, states in blocks]
+        assert len(kept) >= 10
+        for states, copy in kept:
+            assert states.tobytes() == copy.tobytes()
+        for (a, _), (b, _) in itertools.combinations(kept, 2):
+            assert not np.shares_memory(a, b)
 
 
 # -- simulation ---------------------------------------------------------------
@@ -187,7 +205,7 @@ def test_simulate_generation_sizes():
 
 def test_degenerate_copy_kernel_gives_constant_tree():
     c = 3.25
-    for buf in simulate_generations(constant_tree_kernel, c, 0.0, 5, ReplicateSeed(1, 0)):
+    for buf in simulate_generations(copy_track(c), 5, ReplicateSeed(1, 0)):
         assert np.all(buf.states == c)
 
 
@@ -213,9 +231,9 @@ def test_blocks_tile_generations_in_heap_order():
     cap = max(tree_sim.BLOCK_ELEMENTS // rows, tree_sim.MIN_BLOCK_WIDTH)
     covered = [0] * (n + 1)
     last_done = -1
-    for g, lo, states in tree_sim.generation_blocks(constant_tree_kernel, keys, c, 0.0, n):
-        w = states.shape[1]
-        assert states.shape == (rows, w) and w <= cap and w & (w - 1) == 0
+    for g, lo, states in tree_sim.generation_blocks([copy_track(c)], keys, n):
+        w = states.shape[-1]
+        assert states.shape == (1, rows, w) and w <= cap and w & (w - 1) == 0
         assert lo == covered[g], (g, lo)
         covered[g] += w
         assert np.all(states == c)
