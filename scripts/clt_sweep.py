@@ -55,7 +55,7 @@ def main(argv=None):
             record_previous_generation=args.record_prev,
         )
         res = run_clt_experiment(cfg)
-        ratio = res.sample_variance / res.theoretical.variance
+        ratio = res.sample_variance / res.theoretical_variance
         var_ratios.append(ratio)
         ks_pass += res.ks_distance < crit
         line = (f"{seed:>4} {res.ks_distance:>8.4f} {res.sample_mean:>+8.4f} "

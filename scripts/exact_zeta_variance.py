@@ -97,19 +97,16 @@ def analyze(a, sigma, n, gamma, x, scope="gen"):
         return 2.0**nn * mean_f(hh)
 
     limit = mu_x / (2.0 * sqrt(pi))
-    if scope == "gen":
-        card = 2.0**n
-        mean = mean_m(n, h)
-        var = (emm(n, n, h, h) - mean**2) / card
-    else:
-        card = 2.0 ** (n + 1) - 1.0
-        second = 0.0
-        mean = 0.0
-        for g1 in range(n + 1):
-            mean += mean_m(g1, h)
-            for g2 in range(n + 1):
-                second += emm(max(g1, g2), min(g1, g2), h, h)
-        var = (second - mean**2) / card
+    # A_n is the generations gens; M_{A_n} sums M_{G_g} over them. Added up
+    # left to right: sum() of floats is compensated from Python 3.12 on.
+    gens = [n] if scope == "gen" else range(n + 1)
+    card = mean = second = 0.0
+    for g1 in gens:
+        card += 2.0**g1
+        mean += mean_m(g1, h)
+        for g2 in gens:
+            second += emm(max(g1, g2), min(g1, g2), h, h)
+    var = (second - mean**2) / card
     # E[M^2] and E[M]^2 each carry a rounding error of about eps * E[M]^2;
     # relative to the variance that is eps * E[M]^2 / (|A_n| var_n), with
     # the limit standing in for var_n because a cancelled var_n is noise.

@@ -36,7 +36,6 @@ from .smoothing import (
 )
 from .fluctuations import (
     FluctuationSample,
-    GaussianLimit,
     zeta,
     theoretical_limit,
     cross_generation_pairs,

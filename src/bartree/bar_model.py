@@ -55,12 +55,20 @@ class BarModel:
 
 @dataclass(frozen=True)
 class GaussianInitial:
-    """Initial law N(m0, rho0^2); rho0 = 0 encodes a point mass at m0."""
+    """Initial law N(m0, rho0^2); rho0 = 0 encodes a point mass at m0.
+
+    Each field must be an int or a float (exactly: a bool is refused) and is
+    stored as a float, so an int writes the bytes of the matching float."""
 
     m0: float
     rho0: float
 
     def __post_init__(self):
+        for name in ("m0", "rho0"):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise ValueError(f"initial field {name!r} must be float, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (math.isfinite(self.m0) and math.isfinite(self.rho0) and self.rho0 >= 0):
             raise ValueError(f"need a finite m0 and rho0 >= 0, got m0={self.m0}, rho0={self.rho0}")
 
@@ -83,7 +91,7 @@ def bar_transition(x: float, randomness: NodeStream, model: BarModel):
 
 def stationary_initial(model: BarModel) -> GaussianInitial:
     """The invariant law N(0, sigma_a^2) as an initial distribution."""
-    return GaussianInitial(m0=0.0, rho0=model.sigma_a)
+    return GaussianInitial(m0=0.0, rho0=float(model.sigma_a))  # numpy if sigma is
 
 
 def invariant_density(x, model: BarModel):

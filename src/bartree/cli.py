@@ -1,11 +1,11 @@
 """Command line front end: check / simulate / estimate / clt / moments."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .bar_model import (
     stationary_initial,
 )
 from .harness import (
+    ExperimentConfig,
     config_from_dict,
     export,
     export_ecdf,
@@ -41,12 +42,7 @@ from .tree_sim import (
     simulate_generations,
 )
 
-SCOPE_ALIASES = {
-    "gen": GENERATION_SCOPE,
-    "tree": TREE_SCOPE,
-    GENERATION_SCOPE: GENERATION_SCOPE,
-    TREE_SCOPE: TREE_SCOPE,
-}
+SCOPE_ALIASES = {"gen": GENERATION_SCOPE, "tree": TREE_SCOPE}
 
 
 def _initial_from_args(args):
@@ -63,7 +59,7 @@ def cmd_check(args) -> int:
     order = gaussian_kernel().order  # the estimator's kernel's, as in run_clt_experiment
     regime = admissible_bandwidth(BandwidthSchedule(args.gamma), order, model.alpha)
     print(json.dumps(
-        {"assumptions": asdict(report), "regime": asdict(regime)},
+        {"assumptions": dataclasses.asdict(report), "regime": dataclasses.asdict(regime)},
         indent=2,
         sort_keys=True,
     ))
@@ -108,11 +104,6 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-_CONFIG_FLAG_FIELDS = (
-    "a", "sigma", "n", "gamma", "x", "n0", "scope", "master_seed", "record_previous_generation",
-)
-
-
 def _read_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -139,17 +130,19 @@ def _read_config_file(path: str) -> dict:
 
 def cmd_clt(args) -> int:
     fields = dict(_read_config_file(args.config)) if args.config else {}
-    for name in _CONFIG_FLAG_FIELDS:
-        val = getattr(args, name)
+    config_fields = dataclasses.fields(ExperimentConfig)
+    for f in config_fields:  # a flag overrides the file; a field with no flag reads None
+        val = getattr(args, f.name, None)
         if val is not None:
-            fields[name] = val
+            fields[f.name] = val
     if isinstance(fields.get("scope"), str):  # the config refuses other types
         fields["scope"] = SCOPE_ALIASES.get(fields["scope"], fields["scope"])
     initial = _initial_from_args(args)
     if initial is not None:
         fields["initial"] = initial
     fields.setdefault("sigma", 1.0)
-    missing = [k for k in ("a", "n", "gamma", "x", "n0") if k not in fields]
+    missing = [f.name for f in config_fields
+               if f.default is dataclasses.MISSING and f.name not in fields]
     if missing:
         raise ValueError(f"missing required config fields: {', '.join(missing)}")
     try:
@@ -176,7 +169,7 @@ def cmd_clt(args) -> int:
         f"n0={config.n0} scope={config.scope} "
         f"ks={result.ks_distance:.4f} mean={result.sample_mean:+.4f} "
         f"var={result.sample_variance:.4f} "
-        f"(theory {result.theoretical.variance:.4f}) "
+        f"(theory {result.theoretical_variance:.4f}) "
         f"admissible={result.admissibility.admissible} "
         f"[{result.wall_time_seconds:.1f}s]"
     )
@@ -267,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--x", type=str, required=True, metavar="X1[,X2,...]")
-    p.add_argument("--scope", choices=["gen", "tree"], default="gen")
+    p.add_argument("--scope", choices=sorted(SCOPE_ALIASES), default="gen")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_estimate)
 
@@ -280,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--n0", type=int, default=None)
-    p.add_argument("--scope", choices=["gen", "tree"], default=None)
+    p.add_argument("--scope", choices=sorted(SCOPE_ALIASES), default=None)
     p.add_argument("--master-seed", dest="master_seed", type=int, default=None)
     p.add_argument("--record-previous-generation", dest="record_previous_generation",
                    action=argparse.BooleanOptionalAction, default=None)

@@ -29,12 +29,6 @@ class FluctuationSample:
     seed: int
 
 
-@dataclass(frozen=True)
-class GaussianLimit:
-    mean: float
-    variance: float
-
-
 def zeta(mu_hat, mu_x: float, cardinality: int, h_n: float):
     """|A_n|^{1/2} h_n^{1/2} (mu_hat - mu(x)); `mu_hat` may be an array."""
     if cardinality < 1:
@@ -44,9 +38,9 @@ def zeta(mu_hat, mu_x: float, cardinality: int, h_n: float):
     return np.sqrt(cardinality) * np.sqrt(h_n) * (mu_hat - mu_x)
 
 
-def theoretical_limit(x: float, K: SmoothingKernel, model: BarModel) -> GaussianLimit:
-    """The CLT limit N(0, mu(x) ||K||_2^2) of zeta_n."""
-    return GaussianLimit(mean=0.0, variance=invariant_density(x, model) * K.l2_norm_sq)
+def theoretical_limit(x: float, K: SmoothingKernel, model: BarModel) -> float:
+    """The variance mu(x) ||K||_2^2 of the CLT limit N(0, mu(x) ||K||_2^2) of zeta_n."""
+    return invariant_density(x, model) * K.l2_norm_sq
 
 
 def cross_generation_pairs(result) -> np.ndarray:

@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from bartree import harness
 from bartree.bar_model import (
     BarModel,
     invariant_density,
@@ -146,8 +147,8 @@ def _assert_exact_law_gate(runs, exact_zeta, label):
     n=15 law of zeta_n; (b) in closed form, var_n tends to the limit."""
     cfg = runs[0].config
     var_n, var_inf, mean_n, _ = _exact_law(exact_zeta, cfg.a, cfg.gamma, N, cfg.scope)
-    assert math.isclose(runs[0].theoretical.variance, var_inf, rel_tol=1e-9), (
-        f"{label}: the harness limit variance {runs[0].theoretical.variance!r} "
+    assert math.isclose(runs[0].theoretical_variance, var_inf, rel_tol=1e-9), (
+        f"{label}: the harness limit variance {runs[0].theoretical_variance!r} "
         f"disagrees with the closed form's {var_inf!r}"
     )
     exact_ks = [
@@ -194,7 +195,7 @@ def test_criterion1_subcritical_clt_a05(runs_a05_gen, exact_zeta):
     var_n, var_inf, _, _ = _exact_law(exact_zeta, 0.5, 0.201, N)
     passes = sum(r.ks_distance < KS_CRIT for r in runs_a05_gen)
     assert passes >= NEED, (
-        f"a=0.5: KS against N(0, {runs_a05_gen[0].theoretical.variance:.6f}) was "
+        f"a=0.5: KS against N(0, {runs_a05_gen[0].theoretical_variance:.6f}) was "
         f"below {KS_CRIT:.4f} in only {passes}/20 seeds (need >= {NEED}). "
         f"Per-seed KS: {_ks_list(runs_a05_gen)}. This case has essentially no "
         f"finite-n handicap: the exact variance of zeta_{N} is {var_n:.5f}, ratio "
@@ -250,7 +251,7 @@ def test_criterion2_supercritical_contrast(runs_a09_g201, exact_zeta):
     var_n, var_inf, _, _ = _exact_law(exact_zeta, 0.9, 0.201, N)
     exceed = sum(r.ks_distance > KS_CRIT for r in runs_a09_g201)
     inflated = sum(
-        r.sample_variance / r.theoretical.variance >= 1.5 for r in runs_a09_g201
+        r.sample_variance / r.theoretical_variance >= 1.5 for r in runs_a09_g201
     )
     assert all(not r.admissibility.admissible for r in runs_a09_g201)
     assert exceed >= NEED, (
@@ -264,7 +265,7 @@ def test_criterion2_supercritical_contrast(runs_a09_g201, exact_zeta):
     assert inflated >= NEED, (
         f"a=0.9, gamma=0.201: sample variance exceeded 1.5x the theoretical "
         f"value in only {inflated}/20 seeds (need >= {NEED}); ratios: "
-        + _fmt([r.sample_variance / r.theoretical.variance for r in runs_a09_g201], ".1f")
+        + _fmt([r.sample_variance / r.theoretical_variance for r in runs_a09_g201], ".1f")
         + f". The exact finite-n ratio is {var_n / var_inf:.1f} "
         "(scripts/exact_zeta_variance.py)."
     )
@@ -290,31 +291,34 @@ def test_criterion4_moment_oracle_agreement(quad64):
         "square": lambda y: np.asarray(y, dtype=float) ** 2,
     }
     gens = (1, 2, 3, 6)
+    # one pass for all 9 cells: each is a track with its root pinned at x,
+    # and its sums are those of monte_carlo_generation_sums bit for bit
+    cells = [(a, x) for a in (0.0, 0.5, 0.9) for x in (0.0, 1.0, -1.3)]
+    terms = [(t, range(g, g + 1), lambda s, f=f: f(s).sum(axis=1))
+             for t in range(len(cells)) for f in fs.values() for g in gens]
+    tracks = [(a, 1.0, x, 0.0) for a, x in cells]
+    rows = iter(harness._replicate_sums(tracks, max(gens), reps, 7, None, terms))
     bad = []
-    for a in (0.0, 0.5, 0.9):
+    for a, x in cells:
         model = BarModel(a, 1.0)
-        for x in (0.0, 1.0, -1.3):
-            for fname, f in fs.items():
-                sums = monte_carlo_generation_sums(
-                    {g: f for g in gens}, x, model, reps, master_seed=7
-                )
-                for g in gens:
-                    vals = sums[g]
-                    for tag, emp, th in (
-                        ("mean", vals, mean_MGn(f, g, x, model, quad64).value),
-                        (
-                            "second",
-                            vals**2,
-                            second_moment_MGn(f, g, x, model, quad64).value,
-                        ),
-                    ):
-                        se = emp.std(ddof=1) / math.sqrt(reps)
-                        z = (emp.mean() - th) / se if se > 0 else 0.0
-                        if abs(z) > 4.0:
-                            bad.append(
-                                f"a={a} f={fname} x={x} n={g} {tag}: "
-                                f"MC={emp.mean():.6g} oracle={th:.6g} z={z:.2f}"
-                            )
+        for fname, f in fs.items():
+            for g in gens:
+                vals = next(rows)
+                for tag, emp, th in (
+                    ("mean", vals, mean_MGn(f, g, x, model, quad64).value),
+                    (
+                        "second",
+                        vals**2,
+                        second_moment_MGn(f, g, x, model, quad64).value,
+                    ),
+                ):
+                    se = emp.std(ddof=1) / math.sqrt(reps)
+                    z = (emp.mean() - th) / se if se > 0 else 0.0
+                    if abs(z) > 4.0:
+                        bad.append(
+                            f"a={a} f={fname} x={x} n={g} {tag}: "
+                            f"MC={emp.mean():.6g} oracle={th:.6g} z={z:.2f}"
+                        )
     assert not bad, (
         "Monte Carlo moments disagreed with the quadrature oracle beyond 4 "
         "standard errors in these cells (100000 replicates, root pinned at x): "

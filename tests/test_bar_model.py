@@ -45,11 +45,14 @@ def test_degenerate_sigma_zero():
 
 
 def test_gaussian_initial_validation():
+    # exactly an int or a float, stored as a float: a bool is no number here
     for m0, rho0 in [(0.0, -1.0), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf),
-                     (0.0, math.nan)]:
+                     (0.0, math.nan), (True, 1.0), (0.0, False), ("0", 1.0)]:
         with pytest.raises(ValueError):
             GaussianInitial(m0, rho0)
     assert GaussianInitial(2.0, 0.0).rho0 == 0.0  # point mass allowed
+    initial = GaussianInitial(0, 1)
+    assert (type(initial.m0), type(initial.rho0)) == (float, float)
 
 
 # -- transitions --------------------------------------------------------------
@@ -217,9 +220,9 @@ def test_alpha_regime():
 
 
 def test_stationary_initial_matches_sigma_a():
-    m = BarModel(0.5, 1.0)
-    init = stationary_initial(m)
-    assert init.m0 == 0.0 and init.rho0 == m.sigma_a
+    for m in (BarModel(0.5, 1.0), BarModel(0.5, np.float64(1.0))):
+        init = stationary_initial(m)
+        assert init.m0 == 0.0 and init.rho0 == m.sigma_a
 
 
 # -- analytic invariants ------------------------------------------------------

@@ -168,7 +168,7 @@ def std_run():
 
 
 def test_std_run_matches_limit(std_run):
-    v = std_run.theoretical.variance
+    v = std_run.theoretical_variance
     assert math.isclose(v, VAR_GEN_A05_X13, rel_tol=1e-13)
     assert std_run.ks_distance < 1.6276 / math.sqrt(300)
     assert abs(std_run.sample_mean) <= 4 * math.sqrt(v / 300)
@@ -187,7 +187,7 @@ def test_std_run_sample_metadata(std_run):
 
 def test_ks_is_self_consistent(std_run):
     zetas = [s.zeta for s in std_run.samples]
-    again = ks_distance(zetas, std_run.theoretical.variance)
+    again = ks_distance(zetas, std_run.theoretical_variance)
     assert again == std_run.ks_distance
 
 
@@ -394,17 +394,19 @@ def _fresh_python(code):
 def test_deep_run_memory_is_bounded():
     # n = 22: a breadth-first engine holds generations of 2^22 columns and
     # peaks above 300 MB; in column blocks the run stays near the
-    # interpreter's own footprint
+    # interpreter's own footprint. The peak read is VmHWM, the child's own:
+    # its ru_maxrss would also hold this test process's peak, which a
+    # spawned child takes over at exec.
     code = (
-        "import resource\n"
         "from bartree import harness\n"
         "from bartree.harness import ExperimentConfig, run_clt_experiment\n"
-        "harness.FORK_NODES = 2**62\n"  # serial: ru_maxrss covers this process only
+        "harness.FORK_NODES = 2**62\n"  # serial: no forked worker's memory
         "run_clt_experiment(ExperimentConfig(a=0.5, sigma=1.0, n=22, gamma=0.201, x=-1.3,"
         " n0=2, scope='tree_n', record_previous_generation=True))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')))\n"
     )
-    peak_mb = int(_fresh_python(code)) / 1024  # ru_maxrss is in KiB on Linux
+    peak_mb = int(_fresh_python(code)) / 1024  # VmHWM is in kB
     assert peak_mb < 150, peak_mb
 
 
@@ -801,6 +803,22 @@ def test_config_dict_roundtrip():
 
     d["initial"] = {"m0": 0, "rho0": 1}  # an int is a float, as for the scalar fields
     assert config_from_dict(d).initial == GaussianInitial(m0=0, rho0=1)
+
+
+def test_an_int_initial_writes_the_float_initials_bytes(tmp_path):
+    # GaussianInitial stores an int as a float, so a config built in code
+    # with GaussianInitial(0, 1) writes the bytes of GaussianInitial(0.0, 1.0)
+    written = []
+    for name, initial in (("int", GaussianInitial(0, 1)), ("float", GaussianInitial(0.0, 1.0))):
+        res = run_clt_experiment(_config(n=4, n0=5, initial=initial))
+        out = tmp_path / name
+        export(res, "csv", str(out))
+        export(res, "json", str(out))
+        summary = (out / "summary.json").read_text().splitlines()
+        summary = [line for line in summary if '"wall_time_seconds"' not in line]
+        written.append(((out / "samples.csv").read_bytes(), summary))
+    assert written[0] == written[1]
+    assert {'      "m0": 0.0,', '      "rho0": 1.0'} <= set(written[0][1])
 
 
 # the CLI's usage-error test covers a missing rho0, an unknown key and a word m0
