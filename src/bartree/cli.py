@@ -305,6 +305,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         parser.error(str(exc))
+    except BrokenPipeError:  # the reader left (`| head`); the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

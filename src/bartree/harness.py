@@ -5,7 +5,9 @@ evaluates the kernel density estimator at the query point over the
 configured scope, turns each estimate into the fluctuation statistic
 zeta, and compares the n0 zeta samples against the theoretical Gaussian
 limit through the Kolmogorov-Smirnov distance. Runs of one master seed and
-depth share one pass: each draw serves all their models and root laws.
+depth share one pass: each draw serves all their models and root laws. The
+chunk driver adds generation sums by key, and the runner adds scopes and
+makes each distinct (track, generation, kernel, x, h) tally once.
 
 A large run splits its replicates into one range per usable CPU, all but the
 first in forked workers, a range into vectorized chunks and a chunk's trees
@@ -155,47 +157,42 @@ def _admitted_nodes(n, reps):
     return nodes
 
 
-def _replicate_sums(tracks, n, reps, master_seed, chunk_size, terms):
-    """Per-replicate scope sums over trees 0..reps-1 of `master_seed`, for
-    every track (a, sigma, m0, rho0) in one engine pass.
+def _replicate_sums(tracks, reps, master_seed, chunk_size, terms):
+    """Per-replicate generation sums over trees 0..reps-1 of `master_seed`,
+    as deep as the deepest term, for every track (a, sigma, m0, rho0) in one
+    engine pass.
 
-    Each term is (track, generations, reduce): row t of the (len(terms), reps)
-    result is, per replicate, the sum over terms[t]'s generations of reduce
-    of each (replicates, columns) block of tracks[track]'s trees, merged in
-    numpy's pairwise order (tree_sim.merge_block_sum), so that a generation's
-    sum is that of its whole row bit for bit. Replicates run `chunk_size` at
-    a time (None: tree_sim.chunk_rows), in one contiguous range per usable
-    CPU from FORK_NODES nodes up in a process with os.fork and one Python
-    thread (else one range), all but the first in forked children; neither
-    split, chunking, block width nor the other tracks change a bit. The work
-    is admitted up front; an admitted run first makes this process keep the
-    memory it frees (_keep_freed_memory).
+    `terms` maps a key to (track, g, reduce); the result maps it to the row
+    of, per replicate, reduce of each (replicates, columns) block of
+    generation g of tracks[track]'s trees, merged in numpy's pairwise order
+    (tree_sim.merge_block_sum) into the whole generation's sum bit for bit.
+    Replicates run `chunk_size` at a time (None: tree_sim.chunk_rows), in one
+    contiguous range per usable CPU from FORK_NODES nodes up in a process
+    with os.fork and one Python thread (else one range), all but the first in
+    forked children; neither split, chunking, block width nor the other
+    tracks change a bit. The work is admitted up front; an admitted run first
+    makes this process keep the memory it frees (_keep_freed_memory).
     """
+    n = max(g for _, g, _ in terms.values())
     nodes = _admitted_nodes(n, reps)
     if chunk_size is None:
         chunk_size = tree_sim.chunk_rows(n, len(tracks))
     elif chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     _keep_freed_memory()
-    # -0.0 is the exact additive identity: a one-generation term is its
-    # reduction bit for bit
-    out = np.full((len(terms), reps), -0.0)
+    out = np.empty((len(terms), reps))
 
     def fill(first, last):
         for start in range(first, last, chunk_size):
             stop = min(start + chunk_size, last)
             keys = tree_sim.replicate_keys(master_seed, start, stop)
-            carries = {}  # (term, generation) -> carry stack of its block sums
-            for g, lo, states in tree_sim.generation_blocks(tracks, keys, n):
-                complete = lo + states.shape[-1] == 1 << g
-                for t, (track, generations, reduce) in enumerate(terms):
-                    if g in generations:
-                        stack = carries.setdefault((t, g), [])
+            stacks = [[] for _ in terms]  # each term's carry stack of block sums
+            for g, _, states in tree_sim.generation_blocks(tracks, keys, n):
+                for stack, (track, term_g, reduce) in zip(stacks, terms.values()):
+                    if term_g == g:
                         tree_sim.merge_block_sum(stack, reduce(states[track]))
-                        # generations complete in ascending order, so each row
-                        # adds them up as a breadth-first pass would
-                        if complete:
-                            out[t, start:stop] += carries.pop((t, g))[0][1]
+            for row, stack in zip(out, stacks):
+                row[start:stop] = stack[0][1]
         return out[:, first:last]
 
     workers = 1
@@ -236,7 +233,7 @@ def _replicate_sums(tracks, n, reps, master_seed, chunk_size, terms):
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
             pipe.close()
-    return out
+    return dict(zip(terms, out))
 
 
 def run_clt_experiment(config: ExperimentConfig, chunk_size: Optional[int] = None) -> CltRunResult:
@@ -253,10 +250,11 @@ def run_clt_experiments(configs, chunk_size: Optional[int] = None) -> List[CltRu
     """Run the CLT experiment for every config; results in their order.
 
     Configs that share (master_seed, n) make a group: one engine pass over
-    its distinct tracks (a, sigma, m0, rho0) and its largest n0, in which
-    each statistic reads its own track and its config's first n0 replicates.
-    A replicate's sums depend on its key alone, so each result is its
-    config's solo one bit for bit, bar wall_time_seconds: its group's pass.
+    its distinct tracks (a, sigma, m0, rho0) and distinct tallies, to its
+    largest n0. Each statistic adds its scope's tallies on its own track over
+    its config's first n0 replicates. A replicate's sums depend on its key
+    alone, so each result is its config's solo one bit for bit, bar
+    wall_time_seconds: its group's pass.
     """
     groups = {}
     for i, config in enumerate(configs):  # admitting every config first admits every group
@@ -265,7 +263,7 @@ def run_clt_experiments(configs, chunk_size: Optional[int] = None) -> List[CltRu
     results = [None] * len(configs)
     for (master_seed, n), group in groups.items():
         t0 = time.perf_counter()
-        tracks, terms, plans = {}, [], []  # tracks: (a, sigma, m0, rho0) -> its index
+        tracks, terms, plans = {}, {}, []  # tracks: (a, sigma, m0, rho0) -> its index
         for i in group:
             config = configs[i]
             model = BarModel(config.a, config.sigma)
@@ -279,22 +277,24 @@ def run_clt_experiments(configs, chunk_size: Optional[int] = None) -> List[CltRu
             if config.record_previous_generation:
                 stats.append((GENERATION_SCOPE, n - 1))
             stats = [(scope, g, bandwidth(g, schedule)) for scope, g in stats]
-            terms += [  # K=K, x=x, h=h: each term binds its own
-                (t, tree_sim.scope_generations(scope, g),
-                 lambda s, K=K, x=config.x, h=h: parzen_sum(K, x, s, h))
-                for scope, g, h in stats
-            ]
-            plans.append((i, config, model, schedule, K, stats))
+            for scope, g, h in stats:  # one tally per key, however many statistics read it
+                for gen in tree_sim.scope_generations(scope, g):
+                    terms.setdefault((t, gen, config.kernel_name, config.x, h), (
+                        t, gen, lambda s, K=K, x=config.x, h=h: parzen_sum(K, x, s, h)))
+            plans.append((i, config, model, schedule, K, t, stats))
         reps = max(configs[i].n0 for i in group)
-        sums = iter(_replicate_sums(list(tracks), n, reps, master_seed, chunk_size, terms))
+        rows = _replicate_sums(list(tracks), reps, master_seed, chunk_size, terms)
         wall = time.perf_counter() - t0
-        for i, config, model, schedule, K, stats in plans:
+        for i, config, model, schedule, K, t, stats in plans:
             mu_x = invariant_density(config.x, model)
             limit_var = theoretical_limit(config.x, K, model)
             zetas, samples = [], []
-            for (scope, g, h), row in zip(stats, sums):
+            for scope, g, h in stats:
+                # generations added in ascending order from -0.0, the exact additive identity
+                total = sum((rows[t, gen, config.kernel_name, config.x, h][: config.n0]
+                             for gen in tree_sim.scope_generations(scope, g)), -0.0)
                 card = tree_sim.scope_size(scope, g)
-                zetas.append(zeta(row[: config.n0] / (card * h), mu_x, card, h))
+                zetas.append(zeta(total / (card * h), mu_x, card, h))
                 samples.append([
                     FluctuationSample(float(z), scope, g, config.gamma, config.x, r, master_seed)
                     for r, z in enumerate(zetas[-1])
@@ -406,10 +406,9 @@ def monte_carlo_generation_sums(
     if not f_by_gen or min(f_by_gen) < 0:
         raise ValueError(f"need generations >= 0, got {sorted(f_by_gen)}")
     model._require_noise("moment Monte Carlo")
-    terms = [(0, range(g, g + 1), lambda s, f=f: f(s).sum(axis=1)) for g, f in f_by_gen.items()]
     track = (model.a, model.sigma, float(x), 0.0)  # the root pinned at x
-    sums = _replicate_sums([track], max(f_by_gen), reps, master_seed, None, terms)
-    return dict(zip(f_by_gen, sums))
+    terms = {g: (0, g, lambda s, f=f: f(s).sum(axis=1)) for g, f in f_by_gen.items()}
+    return _replicate_sums([track], reps, master_seed, None, terms)
 
 
 # -- exports -----------------------------------------------------------------

@@ -26,6 +26,7 @@ test_exact_reference.py.
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,10 +295,10 @@ def test_criterion4_moment_oracle_agreement(quad64):
     # one pass for all 9 cells: each is a track with its root pinned at x,
     # and its sums are those of monte_carlo_generation_sums bit for bit
     cells = [(a, x) for a in (0.0, 0.5, 0.9) for x in (0.0, 1.0, -1.3)]
-    terms = [(t, range(g, g + 1), lambda s, f=f: f(s).sum(axis=1))
-             for t in range(len(cells)) for f in fs.values() for g in gens]
+    terms = {(t, f, g): (t, g, lambda s, f=f: f(s).sum(axis=1))
+             for t in range(len(cells)) for f in fs.values() for g in gens}
     tracks = [(a, 1.0, x, 0.0) for a, x in cells]
-    rows = iter(harness._replicate_sums(tracks, max(gens), reps, 7, None, terms))
+    rows = iter(harness._replicate_sums(tracks, reps, 7, None, terms).values())
     bad = []
     for a, x in cells:
         model = BarModel(a, 1.0)
@@ -510,3 +511,58 @@ def test_criterion8_stream_vs_stored(model_half, forced_split, forced_block_widt
                 for g in range(n + 1):
                     want = np.array([np.sum(f(tree[g].states)) for tree in stored])
                     assert streamed[g].tobytes() == want.tobytes(), (n, width, chunk, g)
+
+
+# -- the README's battery table ---------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+TABLE_BEGIN = "<!-- battery table: rendered by test_readme_battery_table_comes_from_the_suite -->"
+TABLE_END = "<!-- end of battery table -->"
+
+# fixture name -> the law the battery's gate scores it against
+GATED = {
+    "runs_a05_gen": "limit",
+    "runs_a07_gen": f"exact n={N}",
+    "runs_a09_g696": "limit",
+    "runs_a09_g201": "limit, must fail",
+    "runs_a05_tree": f"exact n={N}",
+}
+
+
+def test_readme_battery_table_comes_from_the_suite(batteries, exact_zeta):
+    # every number in the README's table is rendered here from the batteries
+    # and the closed form, with no extra simulation; editing any of them, or
+    # a change in the runs, turns this red
+    header = (f"battery (n={N}, x={X}, n0={N0})", "gated against",
+              f"KS < {KS_CRIT:.4f}, limit law", f"KS < {KS_CRIT:.4f}, exact n={N} law",
+              "median var ratio", f"exact ratio (n={N})")
+    rows = []
+    for name, (a, gamma, scope, _) in BATTERIES.items():
+        runs = batteries[name]
+        var_n, var_inf, mean_n, _ = _exact_law(exact_zeta, a, gamma, N, scope)
+        exact_passes = sum(
+            ks_distance(np.array([s.zeta for s in r.samples]) - mean_n, var_n) < KS_CRIT
+            for r in runs
+        )
+        rows.append((
+            f"a={a}, gamma={gamma}, "
+            + ("generation" if scope == GENERATION_SCOPE else "whole tree"),
+            GATED[name],
+            f"{sum(r.ks_distance < KS_CRIT for r in runs)}/{len(runs)}",
+            f"{exact_passes}/{len(runs)}",
+            f"{np.median([r.sample_variance / r.theoretical_variance for r in runs]):.3f}",
+            f"{var_n / var_inf:.3f}",
+        ))
+    align = [str.ljust] * 2 + [str.rjust] * 4
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+
+    def line(cells):
+        return "| " + " | ".join(pad(c, w) for pad, c, w in zip(align, cells, widths)) + " |"
+
+    rule = "|" + "|".join("-" * (w + 2) if pad is str.ljust else "-" * (w + 1) + ":"
+                          for pad, w in zip(align, widths)) + "|"
+    table = "\n".join([line(header), rule] + [line(row) for row in rows])
+    readme = README.read_text()
+    assert readme.count(TABLE_BEGIN) == readme.count(TABLE_END) == 1
+    block = readme.split(TABLE_BEGIN)[1].split(TABLE_END)[0].strip()
+    assert block == table, f"README.md's battery table should read:\n{table}"

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,21 @@ def test_simulate_dump_matches_stdout(capsys, tmp_path):
     assert code == 0
     assert msg.strip() == f"wrote {dump}"
     assert dump.read_text() == out
+
+
+def test_simulate_into_a_closed_pipe_exits_quietly():
+    # `bartree simulate ... | head`: the reader leaves after one line, and
+    # the writer stops with status 1 and no traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "bartree.cli", "simulate", "--a", "0.5", "--n", "16"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"generation,index,state\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (stderr, proc.wait(timeout=60)) == (b"", 1)
 
 
 # -- estimate -------------------------------------------------------------------

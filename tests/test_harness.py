@@ -37,7 +37,7 @@ from bartree.harness import (
 )
 from bartree import harness, tree_sim
 from bartree.cli import main
-from bartree.smoothing import BandwidthSchedule, bandwidth, gaussian_kernel
+from bartree.smoothing import BandwidthSchedule, bandwidth, gaussian_kernel, parzen_sum
 from bartree.tree_sim import GENERATION_SCOPE, TREE_SCOPE, NodeAddress, ReplicateSeed
 
 VAR_GEN_A05_X13 = 0.051713226787030620
@@ -218,8 +218,8 @@ def test_chunk_size_is_invisible(forced_block_widths):
 
 def _sin_sums(model, reduce=lambda s: np.sin(s).sum(axis=1)):
     """_replicate_sums over generation 3 of 12 replicates rooted at 0.4."""
-    return harness._replicate_sums([(model.a, model.sigma, 0.4, 0.0)], 3, 12, 5, None,
-                                   [(0, range(3, 4), reduce)])
+    return harness._replicate_sums([(model.a, model.sigma, 0.4, 0.0)], 12, 5, None,
+                                   {3: (0, 3, reduce)})[3]
 
 
 def test_worker_count_is_invisible(forced_split, forced_block_widths, model_half):
@@ -422,8 +422,8 @@ def test_block_steps_do_not_fault_their_temporaries_back_in():
         "from bartree import harness\n"
         "harness.FORK_NODES = 2**62\n"  # serial: ru_minflt counts this process only
         "def run():\n"
-        "    harness._replicate_sums([(0.5, 1.0, 0.0, 1.0)], 15, 256, 3,"
-        " None, [(0, range(15, 16), lambda s: np.sin(s).sum(axis=1))])\n"
+        "    harness._replicate_sums([(0.5, 1.0, 0.0, 1.0)], 256, 3,"
+        " None, {15: (0, 15, lambda s: np.sin(s).sum(axis=1))})\n"
         "run()\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "run()\n"
@@ -486,16 +486,18 @@ def test_clt_zetas_match_scalar_spec(scope):
 
 def test_grouping_is_invisible(monkeypatch, forced_split, forced_block_widths):
     # one group holds two values of a, both scopes, the previous generation,
-    # a point-mass root beside a stationary one, two configs on one track
-    # and four values of n0; every result is its config's solo run bit for
-    # bit (bar the wall time), at any worker count and block width. Configs
-    # of another seed or another n make groups of their own.
+    # a point-mass root beside a stationary one, two configs on one track,
+    # a tree-scope twin that shares its generation-7 tally with the first
+    # config, and four values of n0; every result is its config's solo run
+    # bit for bit (bar the wall time), at any worker count and block width.
+    # Configs of another seed or another n make groups of their own.
     group = [
         _config(n=7, n0=9, record_previous_generation=True),
         _config(n=7, n0=5, a=0.7, scope=TREE_SCOPE),
         _config(n=7, n0=12, a=0.7, initial=GaussianInitial(0.4, 0.0),
                 record_previous_generation=True),
         _config(n=7, n0=3, gamma=0.3, x=0.2),  # the first config's track
+        _config(n=7, n0=9, scope=TREE_SCOPE, record_previous_generation=True),
     ]
     others = [_config(n=7, n0=4, master_seed=4), _config(n=6, n0=4)]
     configs = group[:2] + others[:1] + group[2:] + others[1:]
@@ -504,9 +506,10 @@ def test_grouping_is_invisible(monkeypatch, forced_split, forced_block_widths):
     passes = []
     replicate_sums = harness._replicate_sums
 
-    def recording(tracks, n, reps, master_seed, *rest):
+    def recording(tracks, reps, master_seed, chunk_size, terms):
+        n = max(g for _, g, _ in terms.values())
         passes.append((len(tracks), n, reps, master_seed))
-        return replicate_sums(tracks, n, reps, master_seed, *rest)
+        return replicate_sums(tracks, reps, master_seed, chunk_size, terms)
 
     monkeypatch.setattr(harness, "_replicate_sums", recording)
     for width in itertools.chain(["default"], forced_block_widths()):
@@ -516,8 +519,31 @@ def test_grouping_is_invisible(monkeypatch, forced_split, forced_block_widths):
             results = harness.run_clt_experiments(configs)
             assert [timeless(r) for r in results] == solo, (width, workers)
             assert sorted(passes) == [(1, 6, 4, 3), (1, 7, 4, 4), (3, 7, 12, 3)]
-            group_times = {results[i].wall_time_seconds for i in (0, 1, 3, 4)}
+            group_times = {results[i].wall_time_seconds for i in (0, 1, 3, 4, 5)}
             assert len(group_times) == 1
+
+
+def test_each_distinct_tally_is_made_once(monkeypatch):
+    # zeta_7 over G_7 and over T_7 both sum generation 7 at (x, h_7) on one
+    # track: in one pass that tally is made once, so the pair makes as many
+    # Parzen sums as the tree config alone, one per generation of its one
+    # chunk and one-block generations
+    monkeypatch.setattr(harness, "FORK_NODES", 2**62)  # serial: every call is in this process
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return parzen_sum(*args)
+
+    monkeypatch.setattr(harness, "parzen_sum", counting)
+    gen = _config(n=7)
+    tree = dataclasses.replace(gen, scope=TREE_SCOPE)
+    counts = []
+    for configs in ([tree], [gen, tree]):
+        calls.clear()
+        harness.run_clt_experiments(configs)
+        counts.append(len(calls))
+    assert counts == [8, 8]
 
 
 # -- previous-generation recording ----------------------------------------------
