@@ -21,7 +21,7 @@ import numpy as np
 
 from bartree.fluctuations import cross_generation_pairs
 from bartree.harness import ExperimentConfig, independence_report, run_clt_experiment
-from bartree.tree_sim import GENERATION_SCOPE, TREE_SCOPE
+from bartree.tree_sim import SCOPE_ALIASES
 
 
 def main(argv=None):
@@ -32,13 +32,12 @@ def main(argv=None):
     ap.add_argument("--gamma", type=float, default=0.201)
     ap.add_argument("--x", type=float, default=-1.3)
     ap.add_argument("--n0", type=int, default=500)
-    ap.add_argument("--scope", choices=["gen", "tree"], default="gen")
+    ap.add_argument("--scope", choices=sorted(SCOPE_ALIASES), default="gen")
     ap.add_argument("--seeds", type=int, default=20, help="master seeds 0..seeds-1")
     ap.add_argument("--record-prev", action="store_true",
                     help="also report corr(zeta_n, zeta_{n-1})")
     args = ap.parse_args(argv)
 
-    scope = GENERATION_SCOPE if args.scope == "gen" else TREE_SCOPE
     crit = 1.6276 / math.sqrt(args.n0)
     ks_pass = 0
     var_ratios = []
@@ -51,7 +50,7 @@ def main(argv=None):
     for seed in range(args.seeds):
         cfg = ExperimentConfig(
             a=args.a, sigma=args.sigma, n=args.n, gamma=args.gamma, x=args.x,
-            n0=args.n0, scope=scope, master_seed=seed,
+            n0=args.n0, scope=SCOPE_ALIASES[args.scope], master_seed=seed,
             record_previous_generation=args.record_prev,
         )
         res = run_clt_experiment(cfg)

@@ -31,8 +31,14 @@ Beyond n=40 at gamma=0.201 the cancellation eats further digits, so
 analyze() estimates the relative round-off of the variance as
 eps * E[M]^2 / (|A_n| var_lim) and raises ValueError above MAX_ROUNDOFF.
 At x=-1.3, gamma=0.201 the default cases are answered up to n=40 for
-the whole tree and n=42 for one generation. The command line prints the
-message on stderr and exits 1.
+the whole tree and n=42 for one generation.
+
+analyze() also refuses, with ValueError, a question outside the model,
+by the package's own rules: n < 0, |a| >= 1, a sigma that is not finite
+and > 0 (the stationary law needs noise), gamma outside (0, 1) and a
+query point x that is not finite. At n = 0 there is no generation n-1,
+so the correlation is NaN there, as it is for the tree scope. The
+command line prints either refusal on stderr and exits 1.
 
 This is deliberately written against no package code at all: it is the
 independent yardstick used to decide whether a Monte Carlo acceptance
@@ -42,7 +48,7 @@ arguments to reproduce the table quoted in the README.
 
 import argparse
 import sys
-from math import exp, pi, sqrt
+from math import exp, isfinite, pi, sqrt
 
 # Largest estimated relative round-off of var_n that analyze() returns:
 # the accuracy measured against mpmath at n=40, gamma=0.201.
@@ -67,10 +73,21 @@ def analyze(a, sigma, n, gamma, x, scope="gen"):
     """Exact moments of zeta_n under the stationary law.
 
     Returns (variance, limit_variance, mean_shift, correlation) where
-    correlation is corr(zeta_n, zeta_{n-1}) for the generation scope and
-    NaN for the tree scope. Raises ValueError when round-off would swamp
-    the variance (see MAX_ROUNDOFF).
+    correlation is corr(zeta_n, zeta_{n-1}) for the generation scope at
+    n >= 1 and NaN otherwise. Raises ValueError outside the model (see the
+    module docstring) and when round-off would swamp the variance (see
+    MAX_ROUNDOFF).
     """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got n={n}")
+    if not abs(a) < 1.0:
+        raise ValueError(f"BAR requires |a| < 1, got a={a}")
+    if not (isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got sigma={sigma}")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got gamma={gamma}")
+    if not isfinite(x):
+        raise ValueError(f"query point x must be finite, got x={x}")
     sa = sigma / sqrt(1.0 - a * a)
     h = 2.0 ** (-n * gamma)
     mu_x = _phi(x, sa)
@@ -82,9 +99,15 @@ def analyze(a, sigma, n, gamma, x, scope="gen"):
         # <mu, f_hh> = sqrt(hh) * (K_hh * mu)(x), Gaussian convolution
         return sqrt(hh) * _phi(x, sqrt(hh * hh + sa * sa))
 
+    terms = {}
+
     def ip(h1, i, h2, j):
-        # <mu, Q^i f_{h1} . Q^j f_{h2}>
-        return sqrt(h1 * h2) * _triple(w(h1, i), a**i, w(h2, j), a**j, sa, x)
+        # <mu, Q^i f_{h1} . Q^j f_{h2}>, computed once per call of analyze:
+        # the tree scope's emm() calls ask for each term O(n) times
+        key = (h1, i, h2, j)
+        if key not in terms:
+            terms[key] = sqrt(h1 * h2) * _triple(w(h1, i), a**i, w(h2, j), a**j, sa, x)
+        return terms[key]
 
     def emm(nn, mm, hf, hg):
         # E_mu[M_{G_nn}(f_hf) M_{G_mm}(f_hg)], nn >= mm
@@ -120,7 +143,7 @@ def analyze(a, sigma, n, gamma, x, scope="gen"):
             "n in extended precision."
         )
     shift = sqrt(card * h) * (mean_f(h) / sqrt(h) - mu_x)
-    if scope == "gen":
+    if scope == "gen" and n >= 1:
         hp = 2.0 ** (-(n - 1) * gamma)
         cov = (emm(n, n - 1, h, hp) - mean * mean_m(n - 1, hp)) / 2.0 ** (n - 0.5)
         var_prev = (emm(n - 1, n - 1, hp, hp) - mean_m(n - 1, hp) ** 2) / 2.0 ** (n - 1)

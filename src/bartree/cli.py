@@ -34,15 +34,12 @@ from .smoothing import (
     gaussian_kernel,
 )
 from .tree_sim import (
-    GENERATION_SCOPE,
-    TREE_SCOPE,
+    SCOPE_ALIASES,
     ReplicateSeed,
     dump_trajectory,
     scope_generations,
     simulate_generations,
 )
-
-SCOPE_ALIASES = {"gen": GENERATION_SCOPE, "tree": TREE_SCOPE}
 
 
 def _initial_from_args(args):

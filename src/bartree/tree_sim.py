@@ -45,6 +45,8 @@ _TWO_PI = 2.0 * np.pi
 
 GENERATION_SCOPE = "generation_n"
 TREE_SCOPE = "tree_n"
+# each scope's name on the command line
+SCOPE_ALIASES = {"gen": GENERATION_SCOPE, "tree": TREE_SCOPE}
 
 
 def _mix(z: int) -> int:

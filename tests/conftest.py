@@ -3,10 +3,11 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bartree import harness, tree_sim
-from bartree.bar_model import BarModel
+from bartree.bar_model import BarModel, bar_transition
 from bartree.quadrature import QuadratureRule
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -65,6 +66,30 @@ def closed_form_bias(exact_zeta):
 def script():
     """load_script, for tests of the other study scripts."""
     return load_script
+
+
+@pytest.fixture(scope="session")
+def spec_tree():
+    """spec_tree(track, n, seed): generations 0..n (float64 arrays) of the
+    ReplicateSeed `seed` on the engine's track (a, sigma, m0, rho0), grown node
+    by node from the scalar RNG spec: the root m0 + rho0 * z (z from
+    initial_randomness; m0 when rho0 == 0), then bar_transition on each
+    node's node_randomness."""
+
+    def grow(track, n, seed):
+        a, sigma, m0, rho0 = track
+        model = BarModel(a, sigma)
+        z = tree_sim.initial_randomness(seed).normal_pair(0)[0]
+        gens = [np.array([m0 + rho0 * z if rho0 else m0])]
+        for g in range(n):
+            children = []
+            for i, parent in enumerate(gens[-1]):
+                stream = tree_sim.node_randomness(seed, tree_sim.NodeAddress(g, i))
+                children.extend(bar_transition(parent, stream, model))
+            gens.append(np.array(children))
+        return gens
+
+    return grow
 
 
 @pytest.fixture

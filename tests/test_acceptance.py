@@ -57,6 +57,7 @@ from bartree.smoothing import (
 )
 from bartree.tree_sim import (
     GENERATION_SCOPE,
+    SCOPE_ALIASES,
     TREE_SCOPE,
     ReplicateSeed,
     simulate_generations,
@@ -74,13 +75,14 @@ LIMIT_NS = (15, 18, 22, 26, 30)
 LIMIT_TOL = 0.1
 
 
-# fixture name -> (a, gamma, scope, record_previous_generation)
+# name -> (a, gamma, scope, record_previous_generation, the law its gate
+# scores it against): each battery's one declaration
 BATTERIES = {
-    "runs_a05_gen": (0.5, 0.201, GENERATION_SCOPE, True),
-    "runs_a07_gen": (0.7, 0.201, GENERATION_SCOPE, False),
-    "runs_a09_g696": (0.9, 0.696, GENERATION_SCOPE, False),
-    "runs_a09_g201": (0.9, 0.201, GENERATION_SCOPE, False),
-    "runs_a05_tree": (0.5, 0.201, TREE_SCOPE, False),
+    "a05_gen": (0.5, 0.201, GENERATION_SCOPE, True, "limit"),
+    "a07_gen": (0.7, 0.201, GENERATION_SCOPE, False, f"exact n={N}"),
+    "a09_g696": (0.9, 0.696, GENERATION_SCOPE, False, "limit"),
+    "a09_g201": (0.9, 0.201, GENERATION_SCOPE, False, "limit, must fail"),
+    "a05_tree": (0.5, 0.201, TREE_SCOPE, False, f"exact n={N}"),
 }
 
 
@@ -91,7 +93,7 @@ def _battery_configs(seed):
             a=a, sigma=1.0, n=N, gamma=gamma, x=X, n0=N0,
             scope=scope, master_seed=seed, record_previous_generation=record,
         )
-        for a, gamma, scope, record in BATTERIES.values()
+        for a, gamma, scope, record, _ in BATTERIES.values()
     ]
 
 
@@ -104,28 +106,17 @@ def batteries():
 
 
 @pytest.fixture(scope="module")
-def runs_a05_gen(batteries):
-    return batteries["runs_a05_gen"]
-
-
-@pytest.fixture(scope="module")
-def runs_a07_gen(batteries):
-    return batteries["runs_a07_gen"]
-
-
-@pytest.fixture(scope="module")
-def runs_a09_g696(batteries):
-    return batteries["runs_a09_g696"]
-
-
-@pytest.fixture(scope="module")
-def runs_a09_g201(batteries):
-    return batteries["runs_a09_g201"]
-
-
-@pytest.fixture(scope="module")
-def runs_a05_tree(batteries):
-    return batteries["runs_a05_tree"]
+def exact_laws(batteries, exact_zeta):
+    """Each battery's exact n=N law (var_n, var_inf, mean_n, rho_n) and the
+    per-seed KS distances of its runs against N(mean_n, var_n)."""
+    laws = {}
+    for name, runs in batteries.items():
+        law = _exact_law(exact_zeta, runs[0].config, N)
+        var_n, _, mean_n, _ = law
+        laws[name] = law, [
+            ks_distance(np.array([s.zeta for s in r.samples]) - mean_n, var_n) for r in runs
+        ]
+    return laws
 
 
 def _ks_list(runs):
@@ -136,25 +127,25 @@ def _fmt(values, spec):
     return "[" + ", ".join(format(v, spec) for v in values) + "]"
 
 
-def _exact_law(exact_zeta, a, gamma, n, scope=GENERATION_SCOPE):
+# the closed form's name of each scope: the command-line alias
+SCRIPT_SCOPES = {scope: alias for alias, scope in SCOPE_ALIASES.items()}
+
+
+def _exact_law(exact_zeta, cfg, n):
     """(var_n, limit variance, mean_n, corr(zeta_n, zeta_{n-1})) of zeta_n
-    at x=X, sigma=1, from the closed form."""
-    script_scope = {GENERATION_SCOPE: "gen", TREE_SCOPE: "tree"}[scope]
-    return exact_zeta.analyze(a, 1.0, n, gamma, X, script_scope)
+    at cfg's a, sigma, gamma, x and scope, from the closed form."""
+    return exact_zeta.analyze(cfg.a, cfg.sigma, n, cfg.gamma, cfg.x, SCRIPT_SCOPES[cfg.scope])
 
 
-def _assert_exact_law_gate(runs, exact_zeta, label):
+def _assert_exact_law_gate(runs, exact_law, exact_zeta, label):
     """(a) 18/20 seeds below KS_CRIT against N(mean_15, var_15), the exact
     n=15 law of zeta_n; (b) in closed form, var_n tends to the limit."""
     cfg = runs[0].config
-    var_n, var_inf, mean_n, _ = _exact_law(exact_zeta, cfg.a, cfg.gamma, N, cfg.scope)
+    (var_n, var_inf, mean_n, _), exact_ks = exact_law
     assert math.isclose(runs[0].theoretical_variance, var_inf, rel_tol=1e-9), (
         f"{label}: the harness limit variance {runs[0].theoretical_variance!r} "
         f"disagrees with the closed form's {var_inf!r}"
     )
-    exact_ks = [
-        ks_distance(np.array([s.zeta for s in r.samples]) - mean_n, var_n) for r in runs
-    ]
     passes = sum(d < KS_CRIT for d in exact_ks)
     limit_passes = sum(r.ks_distance < KS_CRIT for r in runs)
     assert passes >= NEED, (
@@ -168,7 +159,7 @@ def _assert_exact_law_gate(runs, exact_zeta, label):
     )
     excess = []
     for n in LIMIT_NS:
-        var_k, var_inf, _, _ = _exact_law(exact_zeta, cfg.a, cfg.gamma, n, cfg.scope)
+        var_k, var_inf, _, _ = _exact_law(exact_zeta, cfg, n)
         excess.append(abs(var_k / var_inf - 1.0))
     _assert_strictly_shrinking(excess, "excess |var_n / var_inf - 1|", label)
 
@@ -188,29 +179,31 @@ def _assert_strictly_shrinking(values, what, label):
 # -- criterion 1: sub-critical CLT ---------------------------------------------
 
 
-def test_criterion1_subcritical_clt_a05(runs_a05_gen, exact_zeta):
-    slowest = max(r.wall_time_seconds for r in runs_a05_gen)
+def test_criterion1_subcritical_clt_a05(batteries, exact_laws):
+    runs = batteries["a05_gen"]
+    slowest = max(r.wall_time_seconds for r in runs)
     assert slowest < 120.0, (
         f"a 500-replicate run took {slowest:.1f}s; the budget is 2 minutes each"
     )
-    var_n, var_inf, _, _ = _exact_law(exact_zeta, 0.5, 0.201, N)
-    passes = sum(r.ks_distance < KS_CRIT for r in runs_a05_gen)
+    var_n, var_inf, _, _ = exact_laws["a05_gen"][0]
+    passes = sum(r.ks_distance < KS_CRIT for r in runs)
     assert passes >= NEED, (
-        f"a=0.5: KS against N(0, {runs_a05_gen[0].theoretical_variance:.6f}) was "
+        f"a=0.5: KS against N(0, {runs[0].theoretical_variance:.6f}) was "
         f"below {KS_CRIT:.4f} in only {passes}/20 seeds (need >= {NEED}). "
-        f"Per-seed KS: {_ks_list(runs_a05_gen)}. This case has essentially no "
+        f"Per-seed KS: {_ks_list(runs)}. This case has essentially no "
         f"finite-n handicap: the exact variance of zeta_{N} is {var_n:.5f}, ratio "
         f"{var_n / var_inf:.3f} of the limit (scripts/exact_zeta_variance.py), so "
         f"a miss here points at the sampler or estimator, not at n={N}."
     )
 
 
-def test_criterion1_subcritical_clt_a07(runs_a07_gen, exact_zeta):
-    slowest = max(r.wall_time_seconds for r in runs_a07_gen)
+def test_criterion1_subcritical_clt_a07(batteries, exact_laws, exact_zeta):
+    runs = batteries["a07_gen"]
+    slowest = max(r.wall_time_seconds for r in runs)
     assert slowest < 120.0, (
         f"a 500-replicate run took {slowest:.1f}s; the budget is 2 minutes each"
     )
-    _assert_exact_law_gate(runs_a07_gen, exact_zeta, "a=0.7, generation scope")
+    _assert_exact_law_gate(runs, exact_laws["a07_gen"], exact_zeta, "a=0.7, generation scope")
 
 
 # -- criterion 2: super-critical pass/fail contrast ------------------------------
@@ -222,21 +215,18 @@ def _population_ks(mean, var, var_inf):
     return float(np.max(np.abs(ndtr((t - mean) / math.sqrt(var)) - ndtr(t / math.sqrt(var_inf)))))
 
 
-def test_criterion2_admissible_supercritical(runs_a09_g696, exact_zeta):
-    assert all(r.admissibility.admissible for r in runs_a09_g696)
-    var_n, var_inf, mean_n, _ = _exact_law(exact_zeta, 0.9, 0.696, N)
-    var_far, _, _, _ = _exact_law(exact_zeta, 0.9, 0.696, LIMIT_NS[-1])
-    exact_ks = [
-        ks_distance(np.array([s.zeta for s in r.samples]) - mean_n, var_n)
-        for r in runs_a09_g696
-    ]
+def test_criterion2_admissible_supercritical(batteries, exact_laws, exact_zeta):
+    runs = batteries["a09_g696"]
+    assert all(r.admissibility.admissible for r in runs)
+    (var_n, var_inf, mean_n, _), exact_ks = exact_laws["a09_g696"]
+    var_far, _, _, _ = _exact_law(exact_zeta, runs[0].config, LIMIT_NS[-1])
     exact_passes = sum(d < KS_CRIT for d in exact_ks)
-    passes = sum(r.ks_distance < KS_CRIT for r in runs_a09_g696)
+    passes = sum(r.ks_distance < KS_CRIT for r in runs)
     assert passes >= NEED, (
         f"a=0.9, gamma=0.696: KS against the limit law N(0, {var_inf:.5f}) was "
         f"below {KS_CRIT:.4f} in only {passes}/20 seeds (need >= {NEED}); against "
         f"the exact n={N} law N({mean_n:+.4f}, {var_n:.5f}) it was {exact_passes}/20. "
-        f"Per-seed KS against the limit law: {_ks_list(runs_a09_g696)}. Exact "
+        f"Per-seed KS against the limit law: {_ks_list(runs)}. Exact "
         f"finite-n moments (scripts/exact_zeta_variance.py): Var(zeta_{N}) = "
         f"{var_n:.5f} = {var_n / var_inf:.3f}x the limit {var_inf:.5f}; the implied "
         f"population KS offset is {_population_ks(mean_n, var_n, var_inf):.3f} of the "
@@ -248,17 +238,16 @@ def test_criterion2_admissible_supercritical(runs_a09_g696, exact_zeta):
     )
 
 
-def test_criterion2_supercritical_contrast(runs_a09_g201, exact_zeta):
-    var_n, var_inf, _, _ = _exact_law(exact_zeta, 0.9, 0.201, N)
-    exceed = sum(r.ks_distance > KS_CRIT for r in runs_a09_g201)
-    inflated = sum(
-        r.sample_variance / r.theoretical_variance >= 1.5 for r in runs_a09_g201
-    )
-    assert all(not r.admissibility.admissible for r in runs_a09_g201)
+def test_criterion2_supercritical_contrast(batteries, exact_laws):
+    runs = batteries["a09_g201"]
+    var_n, var_inf, _, _ = exact_laws["a09_g201"][0]
+    exceed = sum(r.ks_distance > KS_CRIT for r in runs)
+    inflated = sum(r.sample_variance / r.theoretical_variance >= 1.5 for r in runs)
+    assert all(not r.admissibility.admissible for r in runs)
     assert exceed >= NEED, (
         f"a=0.9, gamma=0.201 (inadmissible bandwidth): KS exceeded {KS_CRIT:.4f} "
         f"in only {exceed}/20 seeds (need >= {NEED}). Per-seed KS: "
-        f"{_ks_list(runs_a09_g201)}. The exact variance of zeta_{N} here is "
+        f"{_ks_list(runs)}. The exact variance of zeta_{N} here is "
         f"{var_n:.3f} = {var_n / var_inf:.1f}x the limit; the gate should reject "
         "every seed by a wide margin, so a pass-through indicates the estimator "
         "is not actually being fed the inadmissible bandwidth."
@@ -266,7 +255,7 @@ def test_criterion2_supercritical_contrast(runs_a09_g201, exact_zeta):
     assert inflated >= NEED, (
         f"a=0.9, gamma=0.201: sample variance exceeded 1.5x the theoretical "
         f"value in only {inflated}/20 seeds (need >= {NEED}); ratios: "
-        + _fmt([r.sample_variance / r.theoretical_variance for r in runs_a09_g201], ".1f")
+        + _fmt([r.sample_variance / r.theoretical_variance for r in runs], ".1f")
         + f". The exact finite-n ratio is {var_n / var_inf:.1f} "
         "(scripts/exact_zeta_variance.py)."
     )
@@ -275,10 +264,11 @@ def test_criterion2_supercritical_contrast(runs_a09_g201, exact_zeta):
 # -- criterion 3: scope equivalence ----------------------------------------------
 
 
-def test_criterion3_tree_scope(runs_a05_tree, exact_zeta):
+def test_criterion3_tree_scope(batteries, exact_laws, exact_zeta):
     # The limit is scope-invariant but the n=15 law is not: early
     # generations enter with the bandwidth h_15, mismatched to their size.
-    _assert_exact_law_gate(runs_a05_tree, exact_zeta, "a=0.5, whole-tree scope")
+    _assert_exact_law_gate(batteries["a05_tree"], exact_laws["a05_tree"], exact_zeta,
+                           "a=0.5, whole-tree scope")
 
 
 # -- criterion 4: moment oracle vs Monte Carlo ------------------------------------
@@ -390,11 +380,10 @@ def test_criterion6_bandwidth_classifications():
 # -- criterion 7: asymptotic independence of zeta_n and zeta_{n-1} --------------------
 
 
-def test_criterion7_cross_generation_independence(runs_a05_gen, exact_zeta):
-    reports = [
-        independence_report(cross_generation_pairs(r)) for r in runs_a05_gen
-    ]
-    rho = _exact_law(exact_zeta, 0.5, 0.201, N)[3]
+def test_criterion7_cross_generation_independence(batteries, exact_laws, exact_zeta):
+    runs = batteries["a05_gen"]
+    reports = [independence_report(cross_generation_pairs(r)) for r in runs]
+    rho = exact_laws["a05_gen"][0][3]
     passes = sum(abs(rep.correlation - rho) < rep.threshold for rep in reports)
     limit_passes = sum(rep.passed for rep in reports)
     corrs = _fmt([rep.correlation for rep in reports], "+.3f")
@@ -408,7 +397,7 @@ def test_criterion7_cross_generation_independence(runs_a05_gen, exact_zeta):
         f"{mean_corr:+.4f}. n={N} does not explain this miss: it points at "
         "the noise addressing or at the previous-generation tally."
     )
-    rhos = [abs(_exact_law(exact_zeta, 0.5, 0.201, n)[3]) for n in LIMIT_NS]
+    rhos = [abs(_exact_law(exact_zeta, runs[0].config, n)[3]) for n in LIMIT_NS]
     _assert_strictly_shrinking(rhos, "|corr(zeta_n, zeta_{n-1})|", "a=0.5")
 
 
@@ -519,17 +508,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 TABLE_BEGIN = "<!-- battery table: rendered by test_readme_battery_table_comes_from_the_suite -->"
 TABLE_END = "<!-- end of battery table -->"
 
-# fixture name -> the law the battery's gate scores it against
-GATED = {
-    "runs_a05_gen": "limit",
-    "runs_a07_gen": f"exact n={N}",
-    "runs_a09_g696": "limit",
-    "runs_a09_g201": "limit, must fail",
-    "runs_a05_tree": f"exact n={N}",
-}
 
-
-def test_readme_battery_table_comes_from_the_suite(batteries, exact_zeta):
+def test_readme_battery_table_comes_from_the_suite(batteries, exact_laws):
     # every number in the README's table is rendered here from the batteries
     # and the closed form, with no extra simulation; editing any of them, or
     # a change in the runs, turns this red
@@ -537,17 +517,14 @@ def test_readme_battery_table_comes_from_the_suite(batteries, exact_zeta):
               f"KS < {KS_CRIT:.4f}, limit law", f"KS < {KS_CRIT:.4f}, exact n={N} law",
               "median var ratio", f"exact ratio (n={N})")
     rows = []
-    for name, (a, gamma, scope, _) in BATTERIES.items():
+    for name, (a, gamma, scope, _, law) in BATTERIES.items():
         runs = batteries[name]
-        var_n, var_inf, mean_n, _ = _exact_law(exact_zeta, a, gamma, N, scope)
-        exact_passes = sum(
-            ks_distance(np.array([s.zeta for s in r.samples]) - mean_n, var_n) < KS_CRIT
-            for r in runs
-        )
+        (var_n, var_inf, _, _), exact_ks = exact_laws[name]
+        exact_passes = sum(d < KS_CRIT for d in exact_ks)
         rows.append((
             f"a={a}, gamma={gamma}, "
             + ("generation" if scope == GENERATION_SCOPE else "whole tree"),
-            GATED[name],
+            law,
             f"{sum(r.ks_distance < KS_CRIT for r in runs)}/{len(runs)}",
             f"{exact_passes}/{len(runs)}",
             f"{np.median([r.sample_variance / r.theoretical_variance for r in runs]):.3f}",

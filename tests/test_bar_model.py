@@ -14,7 +14,7 @@ from bartree.bar_model import (
     q_power_apply,
     stationary_initial,
 )
-from bartree.tree_sim import NodeAddress, ReplicateSeed, initial_randomness, node_randomness
+from bartree.tree_sim import NodeAddress, ReplicateSeed, node_randomness
 
 # direct evaluations of the closed forms, frozen at high precision
 MU_0_A05 = 0.345494149471335479
@@ -101,25 +101,19 @@ def test_sibling_conditional_independence():
     assert abs(corr) < 3.0 / math.sqrt(e0.size)
 
 
-def test_kernel_block_matches_scalar():
+def test_kernel_block_matches_scalar(spec_tree):
     # every track of one engine pass, a point-mass root beside a random one,
-    # is the tree the scalar spec grows node by node, bit for bit
-    seed = ReplicateSeed(4, 9)
+    # is the tree the scalar spec grows node by node, bit for bit: equal
+    # roots and equal generations are the per-step check by induction
     keys = tree_sim.replicate_keys(4, 9, 10)
     tracks = [(0.6, 0.8, -0.4, 0.0), (-0.3, 1.7, 0.2, 0.9)]
     n = 4
     trees = np.zeros((len(tracks), n + 1, 1 << n))
     for g, lo, states in tree_sim.generation_blocks(tracks, keys, n):
         trees[:, g, lo : lo + states.shape[-1]] = states[:, 0]
-    z0 = initial_randomness(seed).normal_pair(0)[0]
-    for (a, sigma, m0, rho0), tree in zip(tracks, trees):
-        model = BarModel(a, sigma)
-        assert tree[0, 0] == (m0 + rho0 * z0 if rho0 else m0)
-        for g in range(n):
-            for i in range(1 << g):
-                stream = node_randomness(seed, NodeAddress(g, i))
-                children = tuple(tree[g + 1, 2 * i : 2 * i + 2])
-                assert bar_transition(tree[g, i], stream, model) == children
+    for track, tree in zip(tracks, trees):
+        for g, want in enumerate(spec_tree(track, n, ReplicateSeed(4, 9))):
+            assert tree[g, : 1 << g].tobytes() == want.tobytes(), (track, g)
 
 
 # -- closed forms -------------------------------------------------------------

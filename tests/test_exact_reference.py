@@ -153,6 +153,61 @@ def test_cancelled_variance_is_refused(exact_zeta, capsys, argv):
     assert "n=40" in err
 
 
+# a question outside the model: (id, argv, the rule named on stderr)
+OUTSIDE = [
+    ("n_negative", "--n -1", "n must be non-negative"),
+    ("n_negative_tree", "--a 0.5 --n -2 --scope tree", "n must be non-negative"),
+    ("a_one", "--a 1.0", "|a| < 1"),
+    ("a_below", "--a -1.5", "|a| < 1"),
+    ("sigma_zero", "--sigma 0", "sigma must be finite and > 0"),
+    ("sigma_negative", "--sigma -1", "sigma must be finite and > 0"),
+    ("sigma_inf", "--sigma inf", "sigma must be finite and > 0"),
+    ("gamma_zero", "--a 0.5 --gamma 0", "gamma must lie in (0, 1)"),
+    ("gamma_one", "--a 0.5 --gamma 1.0", "gamma must lie in (0, 1)"),
+    ("x_inf", "--x=-inf", "query point x must be finite"),
+    ("x_nan", "--x nan", "query point x must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv, rule", [pytest.param(argv, rule, id=case)
+                                        for case, argv, rule in OUTSIDE])
+def test_question_outside_the_model_is_refused(exact_zeta, capsys, argv, rule):
+    assert exact_zeta.main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == DEFAULT_TABLE.splitlines()[:1]  # the header, no row
+    assert rule in err
+
+
+def test_generation_zero_has_no_correlation(exact_zeta):
+    # there is no generation -1 to correlate zeta_0 with
+    assert math.isnan(exact_zeta.analyze(0.5, 1.0, 0, 0.201, -1.3, "gen")[3])
+
+
+# a gamma scope n: the repr of var_n, the limit variance, the mean shift and
+# the correlation at x=-1.3, sigma=1, pinned below the default table's 5 decimals
+PINNED_REPRS = """\
+0.5 0.201 gen 15 0.050223081805739866 0.05171322678703063 0.017348303841603296 0.13236954191528322
+0.5 0.201 gen 30 0.05153283744584769 0.05171322678703063 0.017449002240617625 0.016350332814747973
+0.5 0.201 gen 40 0.05166834592819214 0.05171322678703063 0.017157161830622564 0.00404867583983207
+0.5 0.201 tree 15 0.06686943549757474 0.05171322678703063 0.024534019395109116 nan
+0.5 0.201 tree 30 0.05363853627519614 0.05171322678703063 0.024676615612814496 nan
+0.5 0.201 tree 40 0.05219137668611992 0.05171322678703063 0.024263890952690916 nan
+0.9 0.696 gen 15 0.05149057832462012 0.041778799375095724 -2.4039883737712167e-08 0.19068546850572554
+0.9 0.696 gen 30 0.050998315973851405 0.041778799375095724 -6.023304876680296e-14 0.1808162213130371
+0.9 0.696 gen 40 0.0509809763108251 0.041778799375095724 0.0 0.1805065998516903
+0.9 0.696 tree 15 0.06697080513911441 0.041778799375095724 -3.399727023818893e-08 nan
+0.9 0.696 tree 30 0.06513304376632376 0.041778799375095724 -8.51823944492597e-14 nan
+0.9 0.696 tree 40 0.06507386519763375 0.041778799375095724 0.0 nan
+"""
+
+
+def test_outputs_are_pinned_to_the_bit(exact_zeta):
+    for line in PINNED_REPRS.splitlines():
+        a, gamma, scope, n, *want = line.split()
+        got = exact_zeta.analyze(float(a), 1.0, int(n), float(gamma), -1.3, scope)
+        assert list(map(repr, got)) == want, line
+
+
 def test_validated_range_is_answered(exact_zeta):
     # up to n=40, where the closed form was checked against 60-digit mpmath
     for a, gamma, scope in exact_zeta.DEFAULT_CASES:

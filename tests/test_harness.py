@@ -18,7 +18,6 @@ from scipy.special import ndtr, ndtri
 from bartree.bar_model import (
     BarModel,
     GaussianInitial,
-    bar_transition,
     invariant_density,
     stationary_initial,
 )
@@ -38,7 +37,7 @@ from bartree.harness import (
 from bartree import harness, tree_sim
 from bartree.cli import main
 from bartree.smoothing import BandwidthSchedule, bandwidth, gaussian_kernel, parzen_sum
-from bartree.tree_sim import GENERATION_SCOPE, TREE_SCOPE, NodeAddress, ReplicateSeed
+from bartree.tree_sim import GENERATION_SCOPE, TREE_SCOPE, ReplicateSeed
 
 VAR_GEN_A05_X13 = 0.051713226787030620
 
@@ -441,22 +440,6 @@ def test_master_seed_changes_everything():
     assert not np.any(z1 == z2)
 
 
-def _scalar_spec_tree(config, r):
-    """Generations 0..n of replicate r, node by node from the scalar RNG spec."""
-    model = BarModel(config.a, config.sigma)
-    seed = ReplicateSeed(config.master_seed, r)
-    initial = stationary_initial(model)
-    z, _ = tree_sim.initial_randomness(seed).normal_pair(0)
-    gens = [np.array([initial.m0 + initial.rho0 * z])]
-    for g in range(config.n):
-        children = []
-        for i, parent in enumerate(gens[-1]):
-            stream = tree_sim.node_randomness(seed, NodeAddress(g, i))
-            children.extend(bar_transition(parent, stream, model))
-        gens.append(np.array(children))
-    return gens
-
-
 def _scalar_spec_zeta(gens, generations, h, x, mu_x):
     """zeta over the union of `generations`, one Parzen sum per generation."""
     K = gaussian_kernel()
@@ -468,17 +451,20 @@ def _scalar_spec_zeta(gens, generations, h, x, mu_x):
 
 
 @pytest.mark.parametrize("scope", [GENERATION_SCOPE, TREE_SCOPE])
-def test_clt_zetas_match_scalar_spec(scope):
+def test_clt_zetas_match_scalar_spec(scope, spec_tree):
     # every replicate rebuilt from its own streams; two chunks, the second
     # one short, so a swap of children or of key rows shows
     cfg = _config(n=4, n0=3, scope=scope, record_previous_generation=True)
     res = run_clt_experiment(cfg, chunk_size=2)
     schedule = BandwidthSchedule(cfg.gamma)
     h, h_prev = bandwidth(cfg.n, schedule), bandwidth(cfg.n - 1, schedule)
-    mu_x = invariant_density(cfg.x, BarModel(cfg.a, cfg.sigma))
+    model = BarModel(cfg.a, cfg.sigma)
+    mu_x = invariant_density(cfg.x, model)
+    root = stationary_initial(model)
     members = range(cfg.n + 1) if scope == TREE_SCOPE else [cfg.n]
     for r in range(cfg.n0):
-        gens = _scalar_spec_tree(cfg, r)
+        gens = spec_tree((cfg.a, cfg.sigma, root.m0, root.rho0), cfg.n,
+                         ReplicateSeed(cfg.master_seed, r))
         assert res.samples[r].zeta == _scalar_spec_zeta(gens, members, h, cfg.x, mu_x)
         want_prev = _scalar_spec_zeta(gens, [cfg.n - 1], h_prev, cfg.x, mu_x)
         assert res.prev_samples[r].zeta == want_prev
@@ -867,7 +853,7 @@ def test_config_from_dict_refuses_bad_initial(initial, message):
 
 # -- Monte Carlo generation sums ----------------------------------------------------
 
-def test_monte_carlo_sums_match_scalar_recursion(model_half):
+def test_monte_carlo_sums_match_scalar_recursion(model_half, spec_tree):
     n, reps, ms = 3, 4, 21
     x = 0.8
     f0 = lambda y: np.asarray(y, dtype=float)
@@ -877,16 +863,7 @@ def test_monte_carlo_sums_match_scalar_recursion(model_half):
     assert sums[0].shape == (reps,) and sums[3].shape == (reps,)
     np.testing.assert_array_equal(sums[0], np.full(reps, x))
 
+    track = (model_half.a, model_half.sigma, x, 0.0)  # the root pinned at x
     for r in range(reps):
-        seed = ReplicateSeed(ms, r)
-        gen = [np.float64(x)]
-        for g in range(n):
-            nxt = []
-            for i, xp in enumerate(gen):
-                stream = tree_sim.node_randomness(seed, NodeAddress(g, i))
-                e0, e1 = stream.normal_pair(0)
-                nxt.append(model_half.a * xp + model_half.sigma * e0)
-                nxt.append(model_half.a * xp + model_half.sigma * e1)
-            gen = nxt
-        want = float(np.sum(f3(np.array(gen))))
+        want = float(np.sum(f3(spec_tree(track, n, ReplicateSeed(ms, r))[n])))
         assert sums[3][r] == want
