@@ -74,4 +74,13 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a short output meets a closed pipe here, not at exit
+    except BrokenPipeError:  # the reader left (`| head`): close stdout, say nothing
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:  # closing flushes once more; the file is closed anyway
+            pass
+        code = 1
+    sys.exit(code)

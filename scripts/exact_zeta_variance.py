@@ -168,13 +168,16 @@ def main(argv=None):
     ap.add_argument("--a", type=float, default=None, help="single case instead of the sweep")
     ap.add_argument("--sigma", type=float, default=1.0)
     ap.add_argument("--n", type=int, default=15)
-    ap.add_argument("--gamma", type=float, default=0.201)
+    ap.add_argument("--gamma", type=float, help="with --a (default 0.201)")
     ap.add_argument("--x", type=float, default=-1.3)
-    ap.add_argument("--scope", choices=["gen", "tree"], default="gen")
+    ap.add_argument("--scope", choices=["gen", "tree"], help="with --a (default gen)")
     args = ap.parse_args(argv)
+    for flag in ("gamma", "scope"):  # the default cases carry their own
+        if args.a is None and getattr(args, flag) is not None:
+            ap.error(f"--{flag} needs --a")
 
     cases = (
-        [(args.a, args.gamma, args.scope)]
+        [(args.a, 0.201 if args.gamma is None else args.gamma, args.scope or "gen")]
         if args.a is not None
         else DEFAULT_CASES
     )
@@ -197,4 +200,13 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a short output meets a closed pipe here, not at exit
+    except BrokenPipeError:  # the reader left (`| head`): close stdout, say nothing
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:  # closing flushes once more; the file is closed anyway
+            pass
+        code = 1
+    sys.exit(code)

@@ -24,7 +24,7 @@ from .harness import (
     monte_carlo_generation_sums,
     run_clt_experiment,
 )
-from .oracle import cross_moment_MGn_MGm, mean_MGn, second_moment_MGn
+from .oracle import cross_moment_MGn_MGm, mean_MGn, second_moment_MGn, verdict
 from .quadrature import QuadratureRule
 from .smoothing import (
     BandwidthSchedule,
@@ -206,14 +206,7 @@ def cmd_moments(args) -> int:
     print(f"f={args.f} a={args.a} sigma={args.sigma} x={x} reps={args.reps}")
     print(f"{'quantity':<24} {'oracle':>14} {'quad_err':>10} {'mc':>14} {'mc_se':>10} {'z':>7}")
     for name, orc, factors in rows:
-        v = math.prod(sums[g] for g in factors)
-        same = bool((v == v[0]).all())  # a deterministic cell: its value, not a mean 1 ulp off
-        est = float(v[0]) if same else float(np.mean(v))
-        se = 0.0 if same else float(np.std(v, ddof=1) / math.sqrt(len(v)))
-        miss = est - orc.value
-        # se = 0: a deterministic cell, which matches up to the quadrature error or misses
-        exact = abs(miss) <= orc.quadrature_error_estimate
-        z = miss / se if se > 0 else (0.0 if exact else math.copysign(math.inf, miss))
+        est, se, z = verdict(math.prod(sums[g] for g in factors), orc)
         print(
             f"{name:<24} {orc.value:>14.6g} {orc.quadrature_error_estimate:>10.2e} "
             f"{est:>14.6g} {se:>10.2e} {z:>7.2f}"
@@ -299,7 +292,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a short output meets a closed pipe here, not at exit
+        return code
     except ValueError as exc:
         parser.error(str(exc))
     except BrokenPipeError:  # the reader left (`| head`); the exit flush goes to devnull

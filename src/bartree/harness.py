@@ -431,6 +431,17 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(**d)
 
 
+def _write(path: str, name: str, header: str, rows=()) -> str:
+    """Write `header`, then each row as it comes, to file `name` in
+    directory `path`; returns the file."""
+    os.makedirs(path, exist_ok=True)
+    out = os.path.join(path, name)
+    with open(out, "w", newline="") as fh:
+        fh.write(header)
+        fh.writelines(rows)
+    return out
+
+
 def export(result: CltRunResult, format: str, path: str) -> str:
     """Write samples.csv (format='csv') or summary.json (format='json')
     into directory `path`; returns the file written.
@@ -439,19 +450,11 @@ def export(result: CltRunResult, format: str, path: str) -> str:
     for wall_time_seconds, which is a measurement of the run, not of
     the configuration.
     """
-    os.makedirs(path, exist_ok=True)
     if format == "csv":
-        out = os.path.join(path, "samples.csv")
-        with open(out, "w", newline="") as fh:
-            fh.write("replicate,zeta,scope,n,gamma,x,seed\n")
-            for s in result.samples:
-                fh.write(
-                    f"{s.replicate_index},{s.zeta!r},{s.scope},{s.n},"
-                    f"{s.gamma!r},{s.x!r},{s.seed}\n"
-                )
-        return out
+        return _write(path, "samples.csv", "replicate,zeta,scope,n,gamma,x,seed\n", (
+            f"{s.replicate_index},{s.zeta!r},{s.scope},{s.n},{s.gamma!r},{s.x!r},{s.seed}\n"
+            for s in result.samples))
     if format == "json":
-        out = os.path.join(path, "summary.json")
         summary = {
             "config": asdict(result.config),  # a GaussianInitial becomes {"m0", "rho0"}
             "theoretical_variance": result.theoretical_variance,
@@ -463,22 +466,15 @@ def export(result: CltRunResult, format: str, path: str) -> str:
         }
         # strict JSON: a non-finite value raises before the file is opened
         text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-        with open(out, "w", newline="") as fh:
-            fh.write(text + "\n")
-        return out
+        return _write(path, "summary.json", text + "\n")
     raise ValueError(f"unknown export format {format!r}")
 
 
 def export_ecdf(result: CltRunResult, path: str) -> str:
     """zeta,ecdf CSV in directory `path`: the sorted zetas, k/n0 at the k-th."""
     zetas = sorted(s.zeta for s in result.samples)
-    os.makedirs(path, exist_ok=True)
-    out = os.path.join(path, "ecdf.csv")
-    with open(out, "w", newline="") as fh:
-        fh.write("zeta,ecdf\n")
-        for k, v in enumerate(zetas, start=1):
-            fh.write(f"{v!r},{k / len(zetas)!r}\n")
-    return out
+    return _write(path, "ecdf.csv", "zeta,ecdf\n", (
+        f"{v!r},{k / len(zetas)!r}\n" for k, v in enumerate(zetas, start=1)))
 
 
 def export_histogram(result: CltRunResult, path: str, bin_count: Optional[int] = None) -> str:
@@ -486,11 +482,6 @@ def export_histogram(result: CltRunResult, path: str, bin_count: Optional[int] =
     if bin_count is None:
         bin_count = math.ceil(math.sqrt(len(result.samples)))
     hist = histogram([s.zeta for s in result.samples], bin_count)
-    os.makedirs(path, exist_ok=True)
-    out = os.path.join(path, "histogram.csv")
-    with open(out, "w", newline="") as fh:
-        fh.write("bin_left,bin_right,density\n")
-        if not hist.degenerate:
-            for lo, hi, d in zip(hist.edges[:-1], hist.edges[1:], hist.densities):
-                fh.write(f"{float(lo)!r},{float(hi)!r},{float(d)!r}\n")
-    return out
+    rows = [] if hist.degenerate else zip(hist.edges[:-1], hist.edges[1:], hist.densities)
+    return _write(path, "histogram.csv", "bin_left,bin_right,density\n", (
+        f"{float(lo)!r},{float(hi)!r},{float(d)!r}\n" for lo, hi, d in rows))

@@ -19,9 +19,11 @@ evaluations (nested quadrature of depth two). The second moment is the
 cross moment at m = n, g = f, and one function evaluates both.
 
 These identities are the independent ground truth the Monte Carlo
-harness is checked against.
+harness is checked against; verdict() is the one rule that scores a
+Monte Carlo cell against them, for `bartree moments` and criterion 4.
 """
 
+import math
 from dataclasses import dataclass
 
 from .bar_model import BarModel, q_power_apply
@@ -37,6 +39,18 @@ class MomentOracleResult:
 
     value: float
     quadrature_error_estimate: float
+
+
+def verdict(values, result: MomentOracleResult):
+    """(estimate, standard error, z) of a Monte Carlo cell's per-replicate
+    values (an array) against the oracle. All-equal values are a deterministic
+    cell: se = 0, and z is 0 within the quadrature error, a signed inf outside."""
+    same = bool((values == values[0]).all())
+    est = float(values[0]) if same else float(values.mean())  # not a mean 1 ulp off
+    se = 0.0 if same else float(values.std(ddof=1) / math.sqrt(len(values)))
+    miss = est - result.value
+    exact = abs(miss) <= result.quadrature_error_estimate
+    return est, se, miss / se if se > 0 else (0.0 if exact else math.copysign(math.inf, miss))
 
 
 def _with_error(compute, quad: QuadratureRule) -> MomentOracleResult:

@@ -48,7 +48,7 @@ from bartree.harness import (
     run_clt_experiment,
     run_clt_experiments,
 )
-from bartree.oracle import cross_moment_MGn_MGm, mean_MGn, second_moment_MGn
+from bartree.oracle import cross_moment_MGn_MGm, mean_MGn, second_moment_MGn, verdict
 from bartree.smoothing import (
     BandwidthSchedule,
     admissible_bandwidth,
@@ -277,10 +277,8 @@ def test_criterion3_tree_scope(batteries, exact_laws, exact_zeta):
 def test_criterion4_moment_oracle_agreement(quad64):
     t0 = time.perf_counter()
     reps = 100_000
-    fs = {
-        "id": lambda y: np.asarray(y, dtype=float),
-        "square": lambda y: np.asarray(y, dtype=float) ** 2,
-    }
+    fs = {"id": lambda y: np.asarray(y, dtype=float),
+          "square": lambda y: np.asarray(y, dtype=float) ** 2}
     gens = (1, 2, 3, 6)
     # one pass for all 9 cells: each is a track with its root pinned at x,
     # and its sums are those of monte_carlo_generation_sums bit for bit
@@ -296,20 +294,13 @@ def test_criterion4_moment_oracle_agreement(quad64):
             for g in gens:
                 vals = next(rows)
                 for tag, emp, th in (
-                    ("mean", vals, mean_MGn(f, g, x, model, quad64).value),
-                    (
-                        "second",
-                        vals**2,
-                        second_moment_MGn(f, g, x, model, quad64).value,
-                    ),
+                    ("mean", vals, mean_MGn(f, g, x, model, quad64)),
+                    ("second", vals**2, second_moment_MGn(f, g, x, model, quad64)),
                 ):
-                    se = emp.std(ddof=1) / math.sqrt(reps)
-                    z = (emp.mean() - th) / se if se > 0 else 0.0
+                    est, _, z = verdict(emp, th)
                     if abs(z) > 4.0:
-                        bad.append(
-                            f"a={a} f={fname} x={x} n={g} {tag}: "
-                            f"MC={emp.mean():.6g} oracle={th:.6g} z={z:.2f}"
-                        )
+                        bad.append(f"a={a} f={fname} x={x} n={g} {tag}: "
+                                   f"MC={est:.6g} oracle={th.value:.6g} z={z:.2f}")
     assert not bad, (
         "Monte Carlo moments disagreed with the quadrature oracle beyond 4 "
         "standard errors in these cells (100000 replicates, root pinned at x): "
@@ -325,16 +316,16 @@ def test_criterion4_cross_moment_identities(quad64):
     one = lambda y: np.ones_like(np.asarray(y, dtype=float))
     for a in (0.0, 0.5, 0.9):
         model = BarModel(a, 1.0)
-        for x in (0.0, -1.3):
+        for x in (0.0, 1.0, -1.3):
             for g in (f, sq):
-                for n in (1, 3, 6):
+                for n in (1, 2, 3, 4, 6):
                     diag = cross_moment_MGn_MGm(g, g, n, n, x, model, quad64).value
                     second = second_moment_MGn(g, n, x, model, quad64).value
                     assert abs(diag - second) <= 1e-8 * max(1.0, abs(second)), (
                         f"cross moment at n=m={n} (a={a}, x={x}) should equal the "
                         f"second moment: {diag!r} vs {second!r}"
                     )
-                for n, m in ((2, 0), (3, 1), (6, 4)):
+                for n, m in ((2, 0), (3, 0), (3, 1), (3, 3), (5, 2), (6, 4)):
                     cross = cross_moment_MGn_MGm(g, one, n, m, x, model, quad64).value
                     mean = mean_MGn(g, n, x, model, quad64).value
                     assert abs(cross - 2.0**m * mean) <= 1e-8 * max(1.0, abs(mean)), (
@@ -358,6 +349,7 @@ def test_criterion5_bias_order(closed_form_bias):
         "expected 2.0 +/- 0.3 for a second-order kernel on a smooth density "
         f"(biases: {['%.3e' % b for b in bs]})"
     )
+    assert abs(bs[-1] / hs[-1] ** 2 - 0.018389148659760431) < 1e-4  # h^2 coefficient |mu''(X)|/2
 
 
 # -- criterion 6: bandwidth regime classifier ---------------------------------------
@@ -365,13 +357,15 @@ def test_criterion5_bias_order(closed_form_bias):
 
 def test_criterion6_bandwidth_classifications():
     s = 2.0
-    assert admissible_bandwidth(BandwidthSchedule(0.201), s, 0.5).admissible
-    assert admissible_bandwidth(BandwidthSchedule(0.201), s, 0.7).admissible
+    for alpha in (0.5, 0.7):  # sub-critical: no lower bound on gamma
+        rep = admissible_bandwidth(BandwidthSchedule(0.201), s, alpha)
+        assert rep.gamma_in_range and rep.bias_ok and rep.supercritical_ok and rep.admissible
+        assert rep.gamma_lower_bound_supercritical is None
     assert admissible_bandwidth(BandwidthSchedule(0.696), s, 0.9).admissible
     rep = admissible_bandwidth(BandwidthSchedule(0.201), s, 0.9)
-    assert not rep.admissible and not rep.supercritical_ok
+    assert rep.gamma_in_range and rep.bias_ok and not (rep.admissible or rep.supercritical_ok)
     lb = admissible_bandwidth(BandwidthSchedule(0.696), s, 0.9).gamma_lower_bound_supercritical
-    assert abs(lb - 0.69599) <= 1e-5, (
+    assert abs(lb - 0.69599) <= 1e-5 and abs(lb - 0.695993813109900) < 1e-5, (
         f"super-critical lower bound for alpha=0.9 is {lb!r}, expected "
         "1 + log2(0.81) = 0.695993813109900 within 1e-5"
     )
@@ -407,42 +401,36 @@ def test_criterion7_cross_generation_independence(batteries, exact_laws, exact_z
 def test_criterion8_q_invariance_of_mu(quad64):
     for a in (0.0, 0.5, 0.9):
         model = BarModel(a, 1.0)
-        for y in np.linspace(-3.4, 3.4, 18):
+        for y in np.concatenate([np.linspace(-3.4, 3.4, 18), np.linspace(-3.4, 3.4, 29)]):
             lhs = invariant_density(y, model)
-            rhs = quad64.expect(
-                lambda xx: np.exp(-((y - a * xx) ** 2) / 2.0) / math.sqrt(2 * math.pi),
-                mean=0.0,
-                std=model.sigma_a,
-            )
-            assert abs(lhs - rhs) <= 1e-8, (
+            q = lambda xx: np.exp(-((y - a * xx) ** 2) / 2.0) / math.sqrt(2 * math.pi)
+            rhs = quad64.expect(q, mean=0.0, std=model.sigma_a)
+            assert abs(lhs - rhs) < 1e-8, (
                 f"mu is not Q-invariant at y={y}, a={a}: {lhs!r} vs {rhs!r}"
             )
 
 
 def test_criterion8_semigroup(quad64, model_half):
     f = lambda y: y**4 - 2.0 * y**3 + y - 3.0
-    for m, k in ((1, 1), (2, 1), (1, 2), (3, 2), (2, 3)):
-        direct = q_power_apply(f, m + k, 1.1, model_half, quad64)
-        nested = q_power_apply(
-            lambda y: q_power_apply(f, k, y, model_half, quad64),
-            m,
-            1.1,
-            model_half,
-            quad64,
-        )
-        assert abs(direct - nested) <= 1e-8 * max(1.0, abs(direct)), (
-            f"Q^{m}(Q^{k} f) != Q^{m + k} f: {nested!r} vs {direct!r}"
-        )
+    for model, x, powers in (
+        (model_half, 1.1, ((1, 1), (2, 1), (1, 2), (3, 2), (2, 3))),
+        (BarModel(0.6, 1.1), 0.7, ((1, 1), (2, 1), (1, 3), (2, 4), (3, 3))),
+    ):
+        for m, k in powers:
+            direct = q_power_apply(f, m + k, x, model, quad64)
+            nested = q_power_apply(lambda y: q_power_apply(f, k, y, model, quad64), m, x, model, quad64)
+            assert abs(direct - nested) < 1e-8 * max(1.0, abs(direct)), (
+                f"Q^{m}(Q^{k} f) != Q^{m + k} f at a={model.a}, x={x}: {nested!r} vs {direct!r}"
+            )
 
 
 def test_criterion8_kernel_scaling_identity():
-    rng = np.random.default_rng(5)
-    sample = rng.normal(size=257)
     K = gaussian_kernel()
-    x, h = -0.7, 0.23
-    direct = density_estimate(sample, x, h, K)
-    regrouped = h**-0.5 * float(np.mean(h**-0.5 * K.evaluate((x - sample) / h)))
-    assert abs(direct - regrouped) <= 1e-15 * abs(direct)
+    for seed, size, x, h in ((5, 257, -0.7, 0.23), (4, 101, 0.6, 0.37)):
+        sample = np.random.default_rng(seed).normal(size=size)
+        direct = density_estimate(sample, x, h, K)
+        regrouped = h**-0.5 * float(np.mean(h**-0.5 * K.evaluate((x - sample) / h)))
+        assert abs(direct - regrouped) <= 1e-15 * abs(direct), (seed, size, x, h)
 
 
 def test_criterion8_chunking_determinism(tmp_path, forced_block_widths):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from bartree import tree_sim
 from bartree.bar_model import (
@@ -14,6 +13,7 @@ from bartree.bar_model import (
     q_power_apply,
     stationary_initial,
 )
+from bartree.harness import independence_report, ks_distance
 from bartree.tree_sim import NodeAddress, ReplicateSeed, node_randomness
 
 # direct evaluations of the closed forms, frozen at high precision
@@ -85,20 +85,14 @@ def test_transition_marginal_is_Q_kernel():
     model = BarModel(0.7, 1.3)
     x = 0.9
     _, c0, _ = _first_generation((model.a, model.sigma, x, 0.0), 8, 100_000)
-    z = np.sort((c0 - model.a * x) / model.sigma)
-    n = z.size
-    grid = ndtr(z)
-    d = max(np.max(np.arange(1, n + 1) / n - grid), np.max(grid - np.arange(n) / n))
-    assert d < 1.6276 / math.sqrt(n)
+    assert ks_distance((c0 - model.a * x) / model.sigma, 1.0) < 1.6276 / math.sqrt(c0.size)
 
 
 def test_sibling_conditional_independence():
     # corr(eps0, eps1) over 10^5 stationary parents, within +/- 3/sqrt(10^5)
     model = BarModel(0.5, 1.0)
     parents, c0, c1 = _first_generation((model.a, model.sigma, 0.0, model.sigma_a), 77, 100_000)
-    e0, e1 = c0 - model.a * parents, c1 - model.a * parents
-    corr = float(np.corrcoef(e0, e1)[0, 1])
-    assert abs(corr) < 3.0 / math.sqrt(e0.size)
+    assert independence_report(np.column_stack([c0, c1]) - model.a * parents[:, None]).passed
 
 
 def test_kernel_block_matches_scalar(spec_tree):
@@ -220,29 +214,6 @@ def test_stationary_initial_matches_sigma_a():
 
 
 # -- analytic invariants ------------------------------------------------------
-
-def test_invariance_of_mu_under_Q(quad64):
-    # integral mu(x) q(x, y) dx = mu(y) on a grid of y, tol 1e-8
-    model = BarModel(0.5, 1.0)
-    s = model.sigma
-
-    def q_density(x, y):
-        return np.exp(-0.5 * ((y - model.a * x) / s) ** 2) / (s * math.sqrt(2 * math.pi))
-
-    for y in np.linspace(-3.4, 3.4, 29):
-        lhs = quad64.expect(lambda x: q_density(x, y), mean=0.0, std=model.sigma_a)
-        assert abs(lhs - invariant_density(y, model)) < 1e-8
-
-
-def test_semigroup_property(quad64):
-    model = BarModel(0.6, 1.1)
-    f = lambda y: y**4 - 2.0 * y**3 + y - 3.0
-    for m_pow, n_pow in [(1, 1), (2, 1), (1, 3), (2, 4), (3, 3)]:
-        direct = q_power_apply(f, m_pow + n_pow, 0.7, model, quad64)
-        inner = lambda y: q_power_apply(f, n_pow, y, model, quad64)
-        nested = q_power_apply(inner, m_pow, 0.7, model, quad64)
-        assert abs(direct - nested) < 1e-8 * max(1.0, abs(direct)), (m_pow, n_pow)
-
 
 def test_ergodic_decay_rates(quad64):
     # |Q^n f(x) - <mu, f>| decays like alpha^n (f=id) and alpha^{2n} (f=y^2)

@@ -15,6 +15,10 @@ from bartree.harness import ExperimentConfig, run_clt_experiment
 from bartree.smoothing import BandwidthSchedule, bandwidth, density_estimate, gaussian_kernel
 from bartree.tree_sim import ReplicateSeed, simulate_generations
 
+ROOT = Path(__file__).resolve().parents[1]
+CHILD_ENV = dict(os.environ,
+                 PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -92,16 +96,30 @@ def test_simulate_dump_matches_stdout(capsys, tmp_path):
 def test_simulate_into_a_closed_pipe_exits_quietly():
     # `bartree simulate ... | head`: the reader leaves after one line, and
     # the writer stops with status 1 and no traceback
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     with subprocess.Popen(
         [sys.executable, "-m", "bartree.cli", "simulate", "--a", "0.5", "--n", "16"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=CHILD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     ) as proc:
         assert proc.stdout.readline() == b"generation,index,state\n"
         proc.stdout.close()
         stderr = proc.stderr.read()
         assert (stderr, proc.wait(timeout=60)) == (b"", 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-m", "bartree.cli", "simulate", "--a", "0.5", "--n", "3"],
+    ["scripts/exact_zeta_variance.py"],
+    ["scripts/clt_sweep.py", "--a", "0.5", "--n", "3", "--n0", "9", "--seeds", "1"],
+], ids=["simulate", "exact_zeta_variance", "clt_sweep"])
+def test_short_output_into_a_closed_pipe_exits_quietly(argv):
+    # no reader from the start; stdout is buffered, so a short output meets it when flushed
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as out:
+        proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, stdout=out,
+                              stderr=subprocess.PIPE, timeout=60)
+    assert (proc.stderr, proc.returncode) == (b"", 1)
 
 
 # -- estimate -------------------------------------------------------------------

@@ -178,6 +178,13 @@ def test_question_outside_the_model_is_refused(exact_zeta, capsys, argv, rule):
     assert rule in err
 
 
+@pytest.mark.parametrize("flag", ["--gamma=0.5", "--scope=tree"])
+def test_case_flags_without_a_are_refused(exact_zeta, capsys, flag):
+    with pytest.raises(SystemExit) as exc:  # the default cases carry their own
+        exact_zeta.main([flag])
+    assert (exc.value.code, capsys.readouterr().out) == (2, "")
+
+
 def test_generation_zero_has_no_correlation(exact_zeta):
     # there is no generation -1 to correlate zeta_0 with
     assert math.isnan(exact_zeta.analyze(0.5, 1.0, 0, 0.201, -1.3, "gen")[3])
