@@ -215,6 +215,29 @@ def test_stationary_initial_matches_sigma_a():
 
 # -- analytic invariants ------------------------------------------------------
 
+def test_invariance_of_mu_under_Q(quad64):
+    # integral mu(x) q(x, y) dx = mu(y) on a grid of y, tol 1e-8
+    model = BarModel(0.5, 1.0)
+    s = model.sigma
+
+    def q_density(x, y):
+        return np.exp(-0.5 * ((y - model.a * x) / s) ** 2) / (s * math.sqrt(2 * math.pi))
+
+    for y in np.linspace(-3.4, 3.4, 29):
+        lhs = quad64.expect(lambda x: q_density(x, y), mean=0.0, std=model.sigma_a)
+        assert abs(lhs - invariant_density(y, model)) < 1e-8
+
+
+def test_semigroup_property(quad64):
+    model = BarModel(0.6, 1.1)
+    f = lambda y: y**4 - 2.0 * y**3 + y - 3.0
+    for m_pow, n_pow in [(1, 1), (2, 1), (1, 3), (2, 4), (3, 3)]:
+        direct = q_power_apply(f, m_pow + n_pow, 0.7, model, quad64)
+        inner = lambda y: q_power_apply(f, n_pow, y, model, quad64)
+        nested = q_power_apply(inner, m_pow, 0.7, model, quad64)
+        assert abs(direct - nested) < 1e-8 * max(1.0, abs(direct)), (m_pow, n_pow)
+
+
 def test_ergodic_decay_rates(quad64):
     # |Q^n f(x) - <mu, f>| decays like alpha^n (f=id) and alpha^{2n} (f=y^2)
     model = BarModel(0.5, 1.0)

@@ -59,6 +59,23 @@ def test_cross_moment_hand_value(quad64, model_half):
     assert math.isclose(got.value, 1.0, rel_tol=1e-12)
 
 
+def test_cross_moment_collapses_for_constant_g(quad64, model_half):
+    # M_{G_m}(1) = 2^m a.s., so the cross moment is 2^m E[M_{G_n}(f)]
+    for n, m in [(3, 0), (3, 1), (3, 3), (5, 2)]:
+        cross = cross_moment_MGn_MGm(SQUARE, ONE, n, m, -1.3, model_half, quad64)
+        mean = mean_MGn(SQUARE, n, -1.3, model_half, quad64)
+        assert math.isclose(cross.value, 2.0**m * mean.value, rel_tol=1e-8)
+
+
+def test_cross_moment_diagonal_is_second_moment(quad64, model_half):
+    for f in (IDENT, SQUARE):
+        for n in (1, 2, 4):
+            for x in (0.0, 1.0, -1.3):
+                cross = cross_moment_MGn_MGm(f, f, n, n, x, model_half, quad64)
+                second = second_moment_MGn(f, n, x, model_half, quad64)
+                assert math.isclose(cross.value, second.value, rel_tol=1e-8)
+
+
 def test_cross_moment_order_validation(quad64, model_half):
     with pytest.raises(ValueError):
         cross_moment_MGn_MGm(IDENT, IDENT, 1, 2, 0.0, model_half, quad64)

@@ -16,7 +16,9 @@ from bartree.smoothing import (
 )
 
 H15_G0201 = 0.123707082051900862      # 2^{-15*0.201}
+GAMMA_LB_A09 = 0.695993813109900030   # 1 + log2(0.81)
 K2_GAUSS = 0.282094791773878143       # (2 sqrt(pi))^{-1}
+MU_PP_HALF = 0.018389148659760431     # |mu''(-1.3)|/2 for a=0.5, sigma=1
 CHUNK = 1 << 16                       # density_estimate's sample chunk
 
 
@@ -56,6 +58,24 @@ def test_bandwidth_values():
     assert bandwidth(4, BandwidthSchedule(0.5)) == 0.25
     with pytest.raises(ValueError):
         bandwidth(-1, sched)
+
+
+def test_admissibility_three_parameterizations():
+    # gamma=0.201 at alpha 0.5 and 0.7: admissible
+    for alpha in (0.5, 0.7):
+        rep = admissible_bandwidth(BandwidthSchedule(0.201), 2.0, alpha)
+        assert rep.gamma_in_range and rep.bias_ok and rep.supercritical_ok
+        assert rep.admissible
+        assert rep.gamma_lower_bound_supercritical is None
+    # alpha=0.9, gamma=0.696: admissible, with the right lower bound
+    rep = admissible_bandwidth(BandwidthSchedule(0.696), 2.0, 0.9)
+    assert rep.admissible
+    assert abs(rep.gamma_lower_bound_supercritical - GAMMA_LB_A09) < 1e-5
+    # alpha=0.9, gamma=0.201: the supercritical condition fails
+    rep = admissible_bandwidth(BandwidthSchedule(0.201), 2.0, 0.9)
+    assert rep.gamma_in_range and rep.bias_ok
+    assert not rep.supercritical_ok
+    assert not rep.admissible
 
 
 def test_admissibility_bias_condition_is_strict():
@@ -171,6 +191,17 @@ def test_density_estimate_errors():
         density_estimate(np.array([0.0]), 0.0, 0.0, K)
 
 
+def test_scaling_identity():
+    # h^{-1} K((x-.)/h) average == h^{-1/2} * average of h^{-1/2} K((x-.)/h)
+    rng = np.random.default_rng(4)
+    sample = rng.normal(size=101)
+    K = gaussian_kernel()
+    x, h = 0.6, 0.37
+    direct = density_estimate(sample, x, h, K)
+    paper_form = h ** -0.5 * np.mean(h ** -0.5 * K.evaluate((x - sample) / h))
+    assert abs(direct - paper_form) <= 1e-15 * abs(direct)
+
+
 # -- bias ---------------------------------------------------------------------
 
 def test_closed_form_bias_matches_quadrature(quad96, closed_form_bias):
@@ -182,6 +213,15 @@ def test_closed_form_bias_matches_quadrature(quad96, closed_form_bias):
         h = 2.0**-k
         quad = quad96.expect(lambda u: mu(x - h * u)) - mu(x)
         assert math.isclose(closed_form_bias(x, k), quad, rel_tol=1e-10), k
+
+
+def test_bias_order_two_slope(closed_form_bias):
+    hs = [2.0 ** -k for k in range(2, 7)]
+    bs = [closed_form_bias(-1.3, k) for k in range(2, 7)]
+    slope = np.polyfit(np.log(hs), np.log(np.abs(bs)), 1)[0]
+    assert abs(slope - 2.0) <= 0.3
+    # and the h^2 coefficient converges to |mu''(-1.3)|/2
+    assert abs(abs(bs[-1]) / hs[-1] ** 2 - MU_PP_HALF) < 1e-4
 
 
 def test_bochner_bias_vanishes(closed_form_bias):
