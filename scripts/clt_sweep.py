@@ -37,6 +37,10 @@ def main(argv=None):
     ap.add_argument("--record-prev", action="store_true",
                     help="also report corr(zeta_n, zeta_{n-1})")
     args = ap.parse_args(argv)
+    if args.seeds < 1:  # no seed makes no pass count and no median
+        ap.error(f"--seeds must be >= 1, got {args.seeds}")
+    if args.n0 < 2:  # one replicate has no sample variance
+        ap.error(f"--n0 must be >= 2, got {args.n0}")
 
     crit = 1.6276 / math.sqrt(args.n0)
     ks_pass = 0

@@ -407,7 +407,7 @@ def monte_carlo_generation_sums(
         raise ValueError(f"need generations >= 0, got {sorted(f_by_gen)}")
     model._require_noise("moment Monte Carlo")
     track = (model.a, model.sigma, float(x), 0.0)  # the root pinned at x
-    terms = {g: (0, g, lambda s, f=f: f(s).sum(axis=1)) for g, f in f_by_gen.items()}
+    terms = {g: (0, g, lambda s, f=f: tree_sim.row_sums(f(s))) for g, f in f_by_gen.items()}
     return _replicate_sums([track], reps, master_seed, None, terms)
 
 

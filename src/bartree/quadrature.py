@@ -8,6 +8,7 @@ of weights sqrt(pi)) covers all of them:
     E[f(m + s*G)] = pi^{-1/2} * sum_i w_i f(m + sqrt(2)*s*t_i).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,12 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @classmethod
-    def gauss_hermite(cls, order):
+    @staticmethod
+    def gauss_hermite(order):
+        """The rule of this order, built once and shared: its arrays are read-only."""
         if order < 1:
             raise ValueError("quadrature order must be >= 1")
-        nodes, weights = hermgauss(order)
-        return cls(order=int(order), nodes=nodes, weights=weights)
+        return _gauss_hermite(int(order))
 
     def half(self):
         """The companion rule at half the order, for error estimates."""
@@ -68,3 +69,9 @@ class QuadratureRule:
         out = vals @ self.weights / _SQRT_PI
         return float(out) if mean.ndim == 0 else out
 
+
+@functools.cache
+def _gauss_hermite(order):
+    nodes, weights = hermgauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(order=order, nodes=nodes, weights=weights)

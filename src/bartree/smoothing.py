@@ -16,6 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .tree_sim import row_sums
+
 
 @dataclass(frozen=True)
 class SmoothingKernel:
@@ -101,7 +103,7 @@ def admissible_bandwidth(
 
 def parzen_sum(K: SmoothingKernel, x, sample, h: float):
     """sum_u K((x - X_u)/h) over the last axis of `sample`; `x` broadcasts."""
-    return K.evaluate((x - sample) / h).sum(axis=-1)
+    return row_sums(K.evaluate((x - sample) / h))
 
 
 def density_estimate(sample, x_points, h: float, K: SmoothingKernel):

@@ -318,6 +318,21 @@ def merge_block_sum(stack: list, block_sum) -> None:
     stack.append((level, block_sum))
 
 
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1) bit for bit: the one per-row rule of every block sum.
+
+    Below 8 columns numpy's pairwise sum is 0.0 plus the columns left to
+    right (so a row of -0.0 sums to +0.0); that is done here a column at a
+    time over all rows at once, where numpy reduces one short row at a time.
+    """
+    if not 0 < a.shape[-1] < 8:
+        return a.sum(axis=-1)
+    out = a[..., 0] + 0.0
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
 def simulate_generations(track, n: int, seed: ReplicateSeed) -> Iterator[GenerationBuffer]:
     """GenerationBuffer for g = 0..n of one replicate's tree for `track`
     (a, sigma, m0, rho0), from the block engine.

@@ -867,3 +867,17 @@ def test_monte_carlo_sums_match_scalar_recursion(model_half, spec_tree):
     for r in range(reps):
         want = float(np.sum(f3(spec_tree(track, n, ReplicateSeed(ms, r))[n])))
         assert sums[3][r] == want
+
+
+def test_narrow_monte_carlo_sums_match_the_spec_tree_bit_for_bit(model_half, spec_tree):
+    # generations 1 and 2 are 2 and 4 columns wide, below numpy's 8-column
+    # pairwise block, where the chunk driver sums them a column at a time
+    reps, ms, x = 20, 9, -0.6
+    fs = {1: lambda y: np.asarray(y, dtype=float), 2: lambda y: np.asarray(y, dtype=float) ** 2}
+    sums = monte_carlo_generation_sums(fs, x, model_half, reps, master_seed=ms)
+    track = (model_half.a, model_half.sigma, x, 0.0)
+    for r in range(reps):
+        tree = spec_tree(track, 2, ReplicateSeed(ms, r))
+        for g, f in fs.items():
+            want = float(np.sum(f(tree[g])))
+            assert sums[g][r].tobytes() == np.float64(want).tobytes(), (g, r)

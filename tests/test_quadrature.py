@@ -53,3 +53,12 @@ def test_half_rule():
 def test_invalid_order():
     with pytest.raises(ValueError):
         QuadratureRule.gauss_hermite(0)
+
+
+def test_each_rule_is_built_once_and_read_only():
+    q = QuadratureRule.gauss_hermite(64)
+    assert q is QuadratureRule.gauss_hermite(64)
+    assert q.half() is QuadratureRule.gauss_hermite(32)
+    for values in (q.nodes, q.weights):
+        with pytest.raises(ValueError):
+            values[0] = 0.0

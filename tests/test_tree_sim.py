@@ -266,6 +266,36 @@ def test_block_sums_merge_in_numpys_pairwise_order(g):
     assert tree_sim.MIN_BLOCK_WIDTH >= 1 << 7
 
 
+# every width to 300, and every power of two up to 2^14 past it
+ROW_SUM_WIDTHS = [*range(1, 301), *(1 << k for k in range(9, 15))]
+
+
+def test_row_sums_is_numpys_sum_bit_for_bit():
+    rng = np.random.default_rng(30)
+    for w in ROW_SUM_WIDTHS:
+        for shape in [(w,), (5, w), (2, 3, w)]:
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+            assert tree_sim.row_sums(a).tobytes() == a.sum(axis=-1).tobytes(), shape
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 7, 8, 9, 300])
+def test_row_sums_keeps_numpys_signed_zeros_and_non_finite_values(w):
+    tiny = 5e-324  # the smallest subnormal
+    rows = [
+        np.full(w, -0.0),  # numpy's sum is +0.0
+        np.full(w, tiny),
+        np.resize([tiny, -tiny, 3 * tiny], w),
+        np.resize([1.0, math.inf], w),
+        np.resize([-math.inf, -1.0], w),
+        np.resize([math.inf, -math.inf], w),
+        np.resize([2.0, math.nan], w),
+    ]
+    a = np.array(rows)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for shaped in (a, a.reshape(1, *a.shape), a[0]):
+            assert tree_sim.row_sums(shaped).tobytes() == shaped.sum(axis=-1).tobytes()
+
+
 def test_reproducibility_bitwise():
     model = BarModel(0.7, 1.3)
     run = lambda: [
