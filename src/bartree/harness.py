@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Union
@@ -165,11 +166,12 @@ def _replicate_sums(tracks, reps, master_seed, chunk_size, terms):
     of, per replicate, reduce of each (replicates, columns) block of
     generation g of tracks[track]'s trees, merged in numpy's pairwise order
     (tree_sim.merge_block_sum) into the whole generation's sum bit for bit.
-    Replicates run `chunk_size` at a time (None: tree_sim.chunk_rows), split
-    from FORK_NODES nodes up across forked workers (tree_sim.forked_ranges);
-    neither split, chunking, block width nor the other tracks change a bit.
-    The work is admitted up front; an admitted run first makes this process
-    keep the memory it frees (_keep_freed_memory).
+    Replicates run `chunk_size` at a time (None: tree_sim.chunk_rows), in one
+    contiguous range per usable CPU from FORK_NODES nodes up in a process
+    with os.fork and one Python thread (else one range), all but the first in
+    forked children; neither split, chunking, block width nor the other
+    tracks change a bit. The work is admitted up front; an admitted run first
+    makes this process keep the memory it frees (_keep_freed_memory).
     """
     n = max(g for _, g, _ in terms.values())
     nodes = _admitted_nodes(n, reps)
@@ -178,9 +180,9 @@ def _replicate_sums(tracks, reps, master_seed, chunk_size, terms):
     elif chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     _keep_freed_memory()
+    out = np.empty((len(terms), reps))
 
     def fill(first, last):
-        part = np.empty((len(terms), last - first))
         for start in range(first, last, chunk_size):
             stop = min(start + chunk_size, last)
             keys = tree_sim.replicate_keys(master_seed, start, stop)
@@ -189,13 +191,48 @@ def _replicate_sums(tracks, reps, master_seed, chunk_size, terms):
                 for stack, (track, term_g, reduce) in zip(stacks, terms.values()):
                     if term_g == g:
                         tree_sim.merge_block_sum(stack, reduce(states[track]))
-            for row, stack in zip(part, stacks):
-                row[start - first : stop - first] = stack[0][1]
-        return part
+            for row, stack in zip(out, stacks):
+                row[start:stop] = stack[0][1]
+        return out[:, first:last]
 
-    parts = tree_sim.forked_ranges(0, reps, nodes >= FORK_NODES, fill, "replicates")
-    out = parts[0] if len(parts) == 1 else np.concatenate(  # one range is not copied
-        [np.frombuffer(p).reshape(len(terms), -1) for p in parts], axis=1)
+    workers = 1
+    may_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if may_fork and nodes >= FORK_NODES and threading.active_count() == 1:
+        workers = min(len(os.sched_getaffinity(0)), reps)  # one per usable CPU
+    bounds = [reps * w // workers for w in range(workers + 1)]
+    children = {}  # pid -> (first, last, read end of its pipe)
+    try:
+        for first, last in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves only by os._exit: no exit handler, no flush
+                code = 1
+                try:
+                    with open(write_fd, "wb") as pipe:
+                        try:
+                            pipe.write(fill(first, last).tobytes())
+                            code = 0
+                        except BaseException as exc:
+                            pipe.write(f"{type(exc).__name__}: {exc}".encode())
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[pid] = (first, last, open(read_fd, "rb"))
+        fill(bounds[0], bounds[1])
+        for pid, (first, last, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code or len(data) != out[:, first:last].nbytes:
+                raise RuntimeError(f"worker for replicates {first}..{last - 1} exited with "
+                                   f"status {code}: {data.decode(errors='replace')[:300]}")
+            out[:, first:last] = np.frombuffer(data).reshape(-1, last - first)
+    finally:
+        for pid, (_, _, pipe) in children.items():  # left only by an error
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            pipe.close()
     return dict(zip(terms, out))
 
 

@@ -17,8 +17,6 @@ replicate key and the avalanche finisher are bijections too, so stream
 states never collide within a replicate.
 """
 
-import os
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -43,11 +41,10 @@ MIN_BLOCK_WIDTH = 1 << 7
 # simulate_generations holds one whole tree: 2^23 - 1 float64, 64 MiB.
 MAX_STORED_DEPTH = 22
 
-# dump_trajectory holds the text of DUMP_WINDOW rows at a time and forks for
-# a window of DUMP_FORK_ROWS rows or more: on 2 CPUs, 8192 rows took 13.5 ms
-# serial and 19.6 ms forked, 16384 rows 27.4 and 19.6 ms, 65535 119 and 67 ms.
-DUMP_WINDOW = 1 << 16
-DUMP_FORK_ROWS = 1 << 14
+# dump_trajectory formats and writes DUMP_CHUNK rows at a time: about 100 KB
+# of text, so a depth-22 generation of 2^22 rows is never held as text whole.
+# Chunks of 2^10 to 2^14 rows dumped an n=15 tree equally fast.
+DUMP_CHUNK = 1 << 12
 
 _TWO_PI = 2.0 * np.pi
 
@@ -381,68 +378,13 @@ def scope_size(scope: str, n: int) -> int:
     return sum(1 << g for g in scope_generations(scope, n))
 
 
-def forked_ranges(first: int, last: int, split: bool, work, what: str) -> list:
-    """work(a, b) -> bytes of contiguous ranges a..b-1 covering first..last-1,
-    in order: one per usable CPU if `split` and the process may fork (it has
-    os.fork, os.sched_getaffinity and one Python thread), else one. The first
-    runs here, each other in a child that leaves only by os._exit (flushing no
-    buffer of this process), with status 0 once its bytes are all in its pipe.
-    A failed child raises RuntimeError naming its range of `what`; an error or
-    interrupt here kills and reaps every child."""
-    may_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    may_fork = may_fork and threading.active_count() == 1  # no lock held by another thread
-    workers = min(len(os.sched_getaffinity(0)), last - first) if split and may_fork else 1
-    bounds = [first + (last - first) * w // workers for w in range(workers + 1)]
-    children = {}  # pid -> (a, b, read end of its pipe)
-    try:
-        for a, b in zip(bounds[1:-1], bounds[2:]):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code, pipe = 1, open(write_fd, "wb")
-                try:
-                    pipe.write(work(a, b))
-                    pipe.flush()
-                    code = 0
-                except BaseException as exc:  # straight to the pipe: nothing is flushed
-                    os.write(write_fd, f"{type(exc).__name__}: {exc}".encode())
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children[pid] = (a, b, open(read_fd, "rb"))
-        parts = [work(bounds[0], bounds[1])]
-        for pid, (a, b, pipe) in list(children.items()):
-            with pipe:
-                parts.append(pipe.read())
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if code:
-                raise RuntimeError(f"worker for {what} {a}..{b - 1} exited with "
-                                   f"status {code}: {parts[-1].decode(errors='replace')[:300]}")
-    finally:
-        for pid, (_, _, pipe) in children.items():  # left only by an error
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-            pipe.close()
-    return parts
-
-
 def dump_trajectory(generations: Iterable[GenerationBuffer], fh) -> None:
-    """Write (generation, index, state) CSV rows, generations ascending, a
-    window of rows at a time in forked_ranges; no split changes a byte."""
-    generations = list(generations)
-
-    def text(first, last):  # rows first..last-1, counted from node (0, 0)
-        lines, start = [], 0
-        for buf in generations:
-            lo, hi = (min(max(row - start, 0), buf.states.size) for row in (first, last))
-            g, start = buf.generation, start + buf.states.size
-            lines += [f"{g},{i},{s!r}\n" for i, s in enumerate(buf.states[lo:hi].tolist(), lo)]
-        return "".join(lines).encode()
-
+    """Write (generation, index, state) CSV rows, generations ascending, one
+    write per DUMP_CHUNK rows of a generation. The state is repr of the
+    Python float, so every row round-trips its float64 exactly."""
     fh.write("generation,index,state\n")
-    rows = sum(buf.states.size for buf in generations)
-    for lo in range(0, rows, DUMP_WINDOW):
-        hi = min(lo + DUMP_WINDOW, rows)
-        for part in forked_ranges(lo, hi, hi - lo >= DUMP_FORK_ROWS, text, "rows"):
-            fh.write(part.decode())
+    for buf in generations:
+        head = f"{buf.generation},"
+        for lo in range(0, buf.states.size, DUMP_CHUNK):
+            states = buf.states[lo : lo + DUMP_CHUNK].tolist()
+            fh.write("".join([f"{head}{i},{s!r}\n" for i, s in enumerate(states, lo)]))

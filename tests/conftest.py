@@ -109,20 +109,16 @@ def forced_block_widths(monkeypatch):
 
 @pytest.fixture
 def forced_split(monkeypatch):
-    """Call it as forced_split(workers, chunk, window) to make the chunk
-    driver split each later run into `workers` replicate ranges (at most one
-    per replicate) and engine passes of `chunk` replicates (None: the
-    engine's own tree_sim.chunk_rows), and the dump split each window of
-    `window` rows (None: tree_sim.DUMP_WINDOW) into `workers` row ranges (at
-    most one per row), through the facts both read: FORK_NODES,
-    DUMP_FORK_ROWS, DUMP_WINDOW, the usable CPUs and tree_sim.chunk_rows."""
-    chunk_rows, dump_window = tree_sim.chunk_rows, tree_sim.DUMP_WINDOW
+    """Call it as forced_split(workers, chunk) to make the chunk driver split
+    each later run into `workers` replicate ranges (at most one per
+    replicate) and engine passes of `chunk` replicates (None: the engine's
+    own tree_sim.chunk_rows), through the facts the driver reads:
+    FORK_NODES, the usable CPUs and tree_sim.chunk_rows."""
+    chunk_rows = tree_sim.chunk_rows
 
-    def force(workers, chunk=None, window=None):
+    def force(workers, chunk=None):
         cpus = set(range(workers))
         monkeypatch.setattr(harness, "FORK_NODES", 1)
-        monkeypatch.setattr(tree_sim, "DUMP_FORK_ROWS", 1)
-        monkeypatch.setattr(tree_sim, "DUMP_WINDOW", window or dump_window)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         rows = chunk_rows if chunk is None else lambda n, tracks: chunk
         monkeypatch.setattr(tree_sim, "chunk_rows", rows)

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -244,9 +243,8 @@ def test_worker_count_is_invisible(forced_split, forced_block_widths, model_half
 
 def test_forked_default_path_reproduces_the_pinned_outputs(monkeypatch, forced_split, tmp_path,
                                                            capsys):
-    # with the thresholds lowered and three CPUs reported, the default path
-    # splits even the moment Monte Carlo three ways, and the n=15 dump (one
-    # window) too, and every pinned byte holds
+    # with the threshold lowered and three CPUs reported, the default path
+    # splits even the moment Monte Carlo three ways, and every pinned byte holds
     forks = []
     fork = os.fork
 
@@ -260,48 +258,33 @@ def test_forked_default_path_reproduces_the_pinned_outputs(monkeypatch, forced_s
     test_acceptance_config_outputs_are_pinned(tmp_path)
     assert len(forks) == 2
     test_single_tree_and_moments_outputs_are_pinned(tmp_path, capsys)
-    assert len(forks) == 6
-
-
-def _dump(n):
-    """dump_trajectory of replicate 0 of seed 7 at a = 0.5, depth n."""
-    out = io.StringIO()
-    tree = tree_sim.simulate_generations((0.5, 1.0, 0.0, 1.0), n, ReplicateSeed(7, 0))
-    tree_sim.dump_trajectory(tree, out)
-    return out.getvalue()
+    assert len(forks) == 4
 
 
 def test_small_runs_and_threaded_callers_stay_serial(monkeypatch, model_half):
-    # a fork costs more than it saves below FORK_NODES or DUMP_FORK_ROWS, and
-    # is unsafe beside another thread or impossible without os.fork; the
-    # moment workload, the benchmark's 6-replicate determinism re-run and an
-    # n=12 dump stay below the thresholds, while the benchmark's n=15 dump
-    # forks for its one window
+    # a fork costs more than it saves below FORK_NODES, and is unsafe beside
+    # another thread or impossible without os.fork; the moment workload and
+    # the benchmark's 6-replicate determinism re-run stay below the threshold
     assert 100_000 * (2**4 - 1) < harness.FORK_NODES
     assert 6 * (2**16 - 1) < harness.FORK_NODES <= 500 * (2**16 - 1)
-    assert 2**13 - 1 < tree_sim.DUMP_FORK_ROWS <= 2**16 - 1 <= tree_sim.DUMP_WINDOW
 
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    want, want_dump = _sin_sums(model_half), _dump(12)
+    want = _sin_sums(model_half)
     monkeypatch.setattr(harness, "FORK_NODES", 1)
-    monkeypatch.setattr(tree_sim, "DUMP_FORK_ROWS", 1)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
         np.testing.assert_array_equal(_sin_sums(model_half), want)
-        assert _dump(12) == want_dump
-        assert tree_sim.forked_ranges(0, 3, True, lambda a, b: b"", "rows") == [b""]
     finally:
         stop.set()
         other.join()
     monkeypatch.delattr(os, "fork")
     np.testing.assert_array_equal(_sin_sums(model_half), want)
-    assert _dump(12) == want_dump
 
 
 @pytest.mark.parametrize("failing, raised, error, message", [
@@ -328,85 +311,6 @@ def test_a_failed_range_raises_and_reaps_every_child(forced_split, model_half, c
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert capfd.readouterr() == ("", "")
-
-
-@pytest.mark.parametrize("failing, raised, error, message", [
-    ("child", ArithmeticError, RuntimeError,
-     r"worker for rows 5\.\.9 exited with status 1: ArithmeticError: no row here$"),
-    ("parent", KeyboardInterrupt, KeyboardInterrupt, "no row here"),
-], ids=["child", "interrupt"])
-def test_a_failed_dump_raises_and_reaps_every_child(monkeypatch, forced_split, tmp_path, capfd,
-                                                    failing, raised, error, message):
-    # rows 0..4 of an n=3 tree are formatted here and 5..9, 10..14 in two
-    # children: whichever side fails, the dump raises, no child is left, and
-    # nothing reaches stdout or stderr
-    parent, forked_ranges = os.getpid(), tree_sim.forked_ranges
-
-    def failing_ranges(first, last, split, work, what):
-        def fail(a, b):
-            if (os.getpid() != parent) == (failing == "child"):
-                raise raised("no row here")
-            return work(a, b)
-        return forked_ranges(first, last, split, fail, what)
-
-    forced_split(3)
-    monkeypatch.setattr(tree_sim, "forked_ranges", failing_ranges)
-    with pytest.raises(error, match=message):
-        main(["simulate", "--a", "0.5", "--n", "3", "--dump", str(tmp_path / "tree.csv")])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert capfd.readouterr() == ("", "")
-
-
-def test_a_dump_into_a_pipe_closed_mid_dump_exits_quietly(monkeypatch, forced_split, capfd):
-    # `bartree simulate --n 15 | head -c 100000`, in process and split three
-    # ways in windows of 4096 rows: the reader leaves mid-dump, the call
-    # returns 1, no child is left and stderr stays empty
-    reader = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.buffer.read(100000)"],
-                              stdin=subprocess.PIPE)
-    forced_split(3, window=4096)
-    out = io.TextIOWrapper(reader.stdin)
-    monkeypatch.setattr(sys, "stdout", out)
-    try:
-        assert main(["simulate", "--a", "0.5", "--n", "15", "--seed", "7"]) == 1
-    finally:
-        out.close()
-        assert reader.wait(timeout=60) == 0
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert capfd.readouterr() == ("", "")
-
-
-def _simulate(capsys, tmp_path, *argv):
-    """The bytes `bartree simulate` writes with these flags, to a --dump file
-    and to stdout alike."""
-    dump = tmp_path / "tree.csv"
-    assert main(["simulate", *argv, "--dump", str(dump)]) == 0
-    capsys.readouterr()
-    assert main(["simulate", *argv]) == 0
-    out = capsys.readouterr().out.encode()
-    assert dump.read_bytes() == out
-    return out
-
-
-def test_dump_split_is_invisible(forced_split, tmp_path, capsys):
-    # the determinism contract on the dump: neither the worker count, up to
-    # more workers than a window has rows, nor the window, down to one row,
-    # changes a byte; the pinned tree is one window of 65,535 rows, so its
-    # narrow windows and many workers run on smaller trees
-    pinned = ["--a", "0.5", "--n", "15", "--seed", "7"]
-    for workers in (1, 2, 3):
-        forced_split(workers)
-        assert hashlib.sha256(_simulate(capsys, tmp_path, *pinned)).hexdigest() == (
-            "cb718b629c7b8e56a357be8f65900c64588ee75414ed945e762e0e3816103fd4"
-        )
-    for n in (2, 6):
-        small = ["--a", "0.7", "--n", str(n), "--seed", "11"]
-        forced_split(1)
-        want = _simulate(capsys, tmp_path, *small)
-        for workers, window in itertools.product((2, 3, 8), (1, 7, None)):
-            forced_split(workers, window=window)
-            assert _simulate(capsys, tmp_path, *small) == want, (n, workers, window)
 
 
 def test_workers_leave_without_flushing_the_callers_buffers(forced_split, model_half, tmp_path):

@@ -381,3 +381,22 @@ def test_dump_trajectory_roundtrip():
         assert float(s) == stored[int(g)].states[int(i)]
     assert rows[0][:2] == ["0", "0"]
     assert rows[-1][:2] == ["4", "15"]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 12])
+def test_dump_trajectory_chunks_keep_every_byte(monkeypatch, chunk):
+    # the chunked dump writes the bytes of one write per row, formatted from
+    # the numpy scalar as before chunking: across chunk edges, in generations
+    # wider and narrower than a chunk, and for signed zeros, subnormals,
+    # exponent forms and non-finite states
+    odd = np.array([-0.0, 0.0, 5e-324, 1e-5, 1e-4, 0.1, 1e16, 1e15, -np.inf, np.nan, 2.0**60])
+    trees = [
+        list(stationary_tree(BarModel(0.5, 1.0), 6, ReplicateSeed(3, 0))),
+        [tree_sim.GenerationBuffer(g, np.resize(odd, 1 << g)) for g in range(5)],
+    ]
+    monkeypatch.setattr(tree_sim, "DUMP_CHUNK", chunk)
+    for tree in trees:
+        rows = [f"{buf.generation},{i},{float(s)!r}\n" for buf in tree for i, s in enumerate(buf.states)]
+        fh = io.StringIO()
+        dump_trajectory(iter(tree), fh)
+        assert fh.getvalue() == "generation,index,state\n" + "".join(rows)
