@@ -13,6 +13,7 @@ Example:
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -41,6 +42,16 @@ def main(argv=None):
         ap.error(f"--seeds must be >= 1, got {args.seeds}")
     if args.n0 < 2:  # one replicate has no sample variance
         ap.error(f"--n0 must be >= 2, got {args.n0}")
+    if args.record_prev and args.n0 < 3:  # independence_report needs 3 pairs
+        ap.error(f"--n0 must be >= 3 with --record-prev, got {args.n0}")
+    try:  # the config's own gate, before any output
+        config = ExperimentConfig(
+            a=args.a, sigma=args.sigma, n=args.n, gamma=args.gamma, x=args.x,
+            n0=args.n0, scope=SCOPE_ALIASES[args.scope],
+            record_previous_generation=args.record_prev,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
 
     crit = 1.6276 / math.sqrt(args.n0)
     ks_pass = 0
@@ -52,12 +63,7 @@ def main(argv=None):
           + ("  corr" if args.record_prev else ""))
     t0 = time.time()
     for seed in range(args.seeds):
-        cfg = ExperimentConfig(
-            a=args.a, sigma=args.sigma, n=args.n, gamma=args.gamma, x=args.x,
-            n0=args.n0, scope=SCOPE_ALIASES[args.scope], master_seed=seed,
-            record_previous_generation=args.record_prev,
-        )
-        res = run_clt_experiment(cfg)
+        res = run_clt_experiment(dataclasses.replace(config, master_seed=seed))
         ratio = res.sample_variance / res.theoretical_variance
         var_ratios.append(ratio)
         ks_pass += res.ks_distance < crit

@@ -39,6 +39,7 @@ from .tree_sim import (
     dump_trajectory,
     scope_generations,
     simulate_generations,
+    simulate_tree,
 )
 
 
@@ -64,15 +65,15 @@ def cmd_check(args) -> int:
 
 
 def _single_tree(args):
-    """Generations 0..n of replicate 0 of `--seed`, stationary root; the
-    depth is checked before anything is written."""
+    """(track, n, seed) of the one tree: replicate 0 of `--seed`, stationary
+    root. The simulators check the depth before anything is written."""
     initial = stationary_initial(BarModel(args.a, args.sigma))
     track = (args.a, args.sigma, initial.m0, initial.rho0)
-    return simulate_generations(track, args.n, ReplicateSeed(args.seed, 0))
+    return track, args.n, ReplicateSeed(args.seed, 0)
 
 
 def cmd_simulate(args) -> int:
-    gens = _single_tree(args)
+    gens = simulate_generations(*_single_tree(args))
     if args.dump is not None:
         try:
             with open(args.dump, "w", newline="") as fh:
@@ -86,15 +87,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    members = scope_generations(SCOPE_ALIASES[args.scope], args.n)
+    first = scope_generations(SCOPE_ALIASES[args.scope], args.n).start
     h = bandwidth(args.n, BandwidthSchedule(args.gamma))
     xs = np.array([float(tok) for tok in args.x.split(",")])
     if not np.all(np.isfinite(xs)):  # before the tree is simulated and stored
         raise ValueError("query points contain non-finite values")
-    sample = np.concatenate(
-        [buf.states for buf in _single_tree(args) if buf.generation in members]
-    )
-    mu_hat = density_estimate(sample, xs, h, gaussian_kernel())
+    tree = simulate_tree(*_single_tree(args))
+    # A_n is the heap-order suffix from its first generation: no copy
+    mu_hat = density_estimate(tree[(1 << first) - 1 :], xs, h, gaussian_kernel())
     print("x,mu_hat")
     for xq, v in zip(xs, np.atleast_1d(mu_hat)):
         print(f"{float(xq)!r},{float(v)!r}")
@@ -214,11 +214,6 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def _add_initial_flags(p):
-    p.add_argument("--m0", type=float, default=None, help="initial law mean")
-    p.add_argument("--rho0", type=float, default=None, help="initial law std dev")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bartree",
@@ -226,35 +221,37 @@ def build_parser() -> argparse.ArgumentParser:
         "estimation and CLT verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags that several commands share, each group declared once
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--a", type=float, required=True)
+    model.add_argument("--sigma", type=float, default=1.0)
+    tree = argparse.ArgumentParser(add_help=False)
+    tree.add_argument("--n", type=int, required=True)
+    tree.add_argument("--seed", type=int, default=0)
+    initial = argparse.ArgumentParser(add_help=False)
+    initial.add_argument("--m0", type=float, default=None, help="initial law mean")
+    initial.add_argument("--rho0", type=float, default=None, help="initial law std dev")
 
     # no prefix matching: the retired --s flag must not read as --sigma
     p = sub.add_parser("check", help="assumption + bandwidth regime report (JSON)",
-                       allow_abbrev=False)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
+                       parents=[model, initial], allow_abbrev=False)
     p.add_argument("--gamma", type=float, required=True)
-    _add_initial_flags(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("simulate", help="simulate one tree, print/dump trajectory CSV")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("simulate", help="simulate one tree, print/dump trajectory CSV",
+                       parents=[model, tree])
     p.add_argument("--dump", type=str, default=None, metavar="PATH")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("estimate", help="kernel density estimate on one tree")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("estimate", help="kernel density estimate on one tree",
+                       parents=[model, tree])
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--x", type=str, required=True, metavar="X1[,X2,...]")
     p.add_argument("--scope", choices=sorted(SCOPE_ALIASES), default="gen")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("clt", help="run the CLT experiment, write samples + summary")
+    p = sub.add_parser("clt", help="run the CLT experiment, write samples + summary",
+                       parents=[initial])
     p.add_argument("--config", type=str, default=None, metavar="FILE",
                    help="key=value or JSON file with ExperimentConfig fields")
     p.add_argument("--a", type=float, default=None)
@@ -267,22 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--master-seed", dest="master_seed", type=int, default=None)
     p.add_argument("--record-previous-generation", dest="record_previous_generation",
                    action=argparse.BooleanOptionalAction, default=None)
-    _add_initial_flags(p)
     p.add_argument("--out", type=str, default=".", help="output directory")
     p.add_argument("--histogram", action="store_true", help="also write histogram.csv")
     p.add_argument("--ecdf", action="store_true", help="also write ecdf.csv")
     p.add_argument("--bins", type=int, default=None, help="histogram bin count")
     p.set_defaults(func=cmd_clt)
 
-    p = sub.add_parser("moments", help="moment oracle vs Monte Carlo table")
+    p = sub.add_parser("moments", help="moment oracle vs Monte Carlo table",
+                       parents=[model, tree])
     p.add_argument("--f", choices=sorted(_TEST_FUNCTIONS), required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--m", type=int, default=None, help="also compare E[M_Gn M_Gm]")
     p.add_argument("--reps", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_moments)
 
     return parser
@@ -298,7 +291,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     except BrokenPipeError:  # the reader left (`| head`); the exit flush goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -118,8 +118,6 @@ def density_estimate(sample, x_points, h: float, K: SmoothingKernel):
     sample = np.atleast_1d(np.asarray(sample, dtype=float))
     if sample.size == 0:
         raise ValueError("empty sample")
-    if not np.all(np.isfinite(sample)):
-        raise ValueError("sample contains non-finite values")
     xq = np.asarray(x_points, dtype=float)
     if not np.all(np.isfinite(xq)):
         raise ValueError("query points contain non-finite values")
@@ -129,6 +127,8 @@ def density_estimate(sample, x_points, h: float, K: SmoothingKernel):
     chunk = 1 << 16
     for start in range(0, sample.size, chunk):
         block = sample[start : start + chunk]
+        if not np.all(np.isfinite(block)):  # a chunk at a time: no mask of the whole sample
+            raise ValueError("sample contains non-finite values")
         for j, xj in enumerate(xq1):
             acc[j] += parzen_sum(K, xj, block, h)
     out = acc / (sample.size * h)

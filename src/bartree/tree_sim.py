@@ -38,7 +38,7 @@ MAX_GENERATION = 62
 BLOCK_ELEMENTS = 1 << 14
 MIN_BLOCK_WIDTH = 1 << 7
 
-# simulate_generations holds one whole tree: 2^23 - 1 float64, 64 MiB.
+# simulate_tree holds one whole tree: 2^23 - 1 float64, 64 MiB.
 MAX_STORED_DEPTH = 22
 
 # dump_trajectory formats and writes DUMP_CHUNK rows at a time: about 100 KB
@@ -338,14 +338,12 @@ def row_sums(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def simulate_generations(track, n: int, seed: ReplicateSeed) -> Iterator[GenerationBuffer]:
-    """GenerationBuffer for g = 0..n of one replicate's tree for `track`
-    (a, sigma, m0, rho0), from the block engine.
-
-    The depth is checked, against MAX_STORED_DEPTH too, before the generator
-    is returned. The engine finishes generations depth first, so the whole
-    tree, 2^(n+1) - 1 values, is assembled when the first one is requested.
-    """
+def simulate_tree(track, n: int, seed: ReplicateSeed) -> np.ndarray:
+    """Generations 0..n of one replicate's tree for `track` (a, sigma, m0,
+    rho0), from the block engine, as one float64 array in heap order: node
+    (g, i) at its heap code minus one, 2^g - 1 + i, so a scope A_n is the
+    suffix from its first generation. The depth is checked, against
+    MAX_STORED_DEPTH too, before anything is allocated."""
     check_depth(n)
     if n > MAX_STORED_DEPTH:
         raise ValueError(
@@ -353,15 +351,18 @@ def simulate_generations(track, n: int, seed: ReplicateSeed) -> Iterator[Generat
             f"(one tree of 2^{MAX_STORED_DEPTH + 1} - 1 values)"
         )
     keys = replicate_keys(seed.master_seed, seed.replicate_index, seed.replicate_index + 1)
+    tree = np.empty((2 << n) - 1)
+    for g, lo, states in generation_blocks([track], keys, n):
+        start = (1 << g) - 1 + lo
+        tree[start : start + states.shape[-1]] = states[0, 0]
+    return tree
 
-    def assembled():
-        tree = [np.empty(1 << g) for g in range(n + 1)]
-        for g, lo, states in generation_blocks([track], keys, n):
-            tree[g][lo : lo + states.shape[-1]] = states[0, 0]
-        for g, states in enumerate(tree):
-            yield GenerationBuffer(g, states)
 
-    return assembled()
+def simulate_generations(track, n: int, seed: ReplicateSeed) -> Iterator[GenerationBuffer]:
+    """GenerationBuffer for g = 0..n of simulate_tree's array; each buffer's
+    states are a view of that one array."""
+    tree = simulate_tree(track, n, seed)
+    return (GenerationBuffer(g, tree[(1 << g) - 1 : (2 << g) - 1]) for g in range(n + 1))
 
 
 def scope_generations(scope: str, n: int) -> range:

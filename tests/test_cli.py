@@ -106,6 +106,19 @@ def test_simulate_into_a_closed_pipe_exits_quietly():
         assert (stderr, proc.wait(timeout=60)) == (b"", 1)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_a_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    # in process: main points stdout at devnull and keeps no descriptor of its own
+    before = len(os.listdir("/proc/self/fd"))
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["simulate", "--a", "0.5", "--n", "12"]) == 1
+    monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("argv", [
     ["-m", "bartree.cli", "simulate", "--a", "0.5", "--n", "3"],
     ["scripts/exact_zeta_variance.py"],
@@ -146,6 +159,41 @@ def test_estimate_matches_library(capsys):
     want = _library_estimate(0.5, 8, 0.201, [-1.3, 0.0, 1.3], 4)
     for xq, w in zip([-1.3, 0.0, 1.3], want):
         assert got[xq] == w  # exact: the CLI is the same code path
+
+
+def test_estimate_tree_scope_matches_library_across_a_chunk_edge(capsys):
+    # at n = 17, T_n has 2^18 - 1 states: the estimator's 2^16-state chunks
+    # cross generation edges, and the CLI reads A_n in place of a copy
+    xs = [-1.3, 0.0, 1.3]
+    code, out = run_cli(capsys, "estimate", "--a", "0.5", "--n", "17", "--gamma", "0.201",
+                        "--x=-1.3,0.0,1.3", "--scope", "tree", "--seed", "4")
+    assert code == 0
+    want = _library_estimate(0.5, 17, 0.201, xs, 4, tree=True)
+    assert out.splitlines() == ["x,mu_hat"] + [f"{x!r},{float(w)!r}" for x, w in zip(xs, want)]
+
+
+def _estimate_peak_mb(scope):
+    """Peak RSS (VmHWM, MB) of a fresh process running one estimate at n = 20."""
+    code = (
+        "import sys\n"
+        "from bartree.cli import main\n"
+        "main(['estimate', '--a', '0.5', '--n', '20', '--gamma', '0.201',"
+        f" '--x=-1.3,0.0,1.3', '--scope', {scope!r}])\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_estimate_tree_scope_holds_no_second_tree():
+    # the whole-tree scope is the stored tree itself: its peak is the
+    # generation scope's, not that plus a copy of 2^21 - 1 states (16 MiB)
+    tree, gen = _estimate_peak_mb("tree"), _estimate_peak_mb("gen")
+    assert tree <= gen + 2, (tree, gen)
 
 
 def test_estimate_tree_scope_differs(capsys):
@@ -322,6 +370,17 @@ def test_estimate_refuses_a_non_finite_point_before_simulating(capsys, monkeypat
     assert captured.err.count("bartree: error: ") == 1
     assert "query points contain non-finite values" in captured.err.splitlines()[-1]
     assert captured.out == ""
+
+
+def test_estimate_refuses_a_non_finite_point_before_storing_the_tree(capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the tree was simulated")
+
+    monkeypatch.setattr(cli, "simulate_tree", no_simulation)
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--a", "0.5", "--n", "20", "--gamma", "0.2", "--x=nan", "--scope", "tree"])
+    assert exc.value.code == 2
+    assert "query points contain non-finite values" in capsys.readouterr().err
 
 
 def test_moments_without_cross(capsys):

@@ -39,3 +39,17 @@ def test_clt_sweep_refuses_a_sweep_without_a_verdict(argv):
                            *argv.split()], cwd=ROOT, env=env, capture_output=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert f"{argv.split()[0]} must be" in proc.stderr.decode()
+
+
+@pytest.mark.parametrize("argv", ["--gamma 1.5", "--a 1.2", "--n 0 --record-prev",
+                                  "--record-prev --n0 2"])
+def test_clt_sweep_refuses_a_config_before_any_output(argv):
+    # the config's gate refuses these (and independence_report needs 3
+    # pairs): a usage error before the header, not a traceback after it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "scripts/clt_sweep.py", "--a", "0.5", "--n", "3",
+                           "--seeds", "1", *argv.split()], cwd=ROOT, env=env,
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert "clt_sweep.py: error: " in proc.stderr.decode()

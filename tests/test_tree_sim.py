@@ -21,6 +21,7 @@ from bartree.tree_sim import (
     scope_generations,
     scope_size,
     simulate_generations,
+    simulate_tree,
 )
 
 
@@ -214,6 +215,18 @@ def test_iid_generation_mean_when_a_is_zero():
     model = BarModel(0.0, 1.0)
     last = [buf for buf in stationary_tree(model, 10, ReplicateSeed(7, 0))][-1]
     assert abs(float(np.mean(last.states))) < 4.0 / math.sqrt(1024)
+
+
+def test_generations_are_views_of_one_heap_ordered_tree():
+    # node (g, i) is element 2^g - 1 + i of simulate_tree's array, and every
+    # generation is a view of that array, never a copy
+    track, seed = stationary_track(BarModel(0.5, 1.0)), ReplicateSeed(4, 0)
+    bufs = list(simulate_generations(track, 9, seed))
+    tree = bufs[0].states.base
+    assert tree.shape == (2**10 - 1,)
+    assert all(buf.states.base is tree for buf in bufs)
+    joined = np.concatenate([buf.states for buf in bufs])
+    assert joined.tobytes() == simulate_tree(track, 9, seed).tobytes()
 
 
 def test_negative_n_rejected():
