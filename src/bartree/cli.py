@@ -87,12 +87,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    first = scope_generations(SCOPE_ALIASES[args.scope], args.n).start
-    h = bandwidth(args.n, BandwidthSchedule(args.gamma))
+    schedule = BandwidthSchedule(args.gamma)
     xs = np.array([float(tok) for tok in args.x.split(",")])
     if not np.all(np.isfinite(xs)):  # before the tree is simulated and stored
         raise ValueError("query points contain non-finite values")
-    tree = simulate_tree(*_single_tree(args))
+    tree = simulate_tree(*_single_tree(args))  # the depth is checked here, as in simulate
+    first = scope_generations(SCOPE_ALIASES[args.scope], args.n).start
+    h = bandwidth(args.n, schedule)
     # A_n is the heap-order suffix from its first generation: no copy
     mu_hat = density_estimate(tree[(1 << first) - 1 :], xs, h, gaussian_kernel())
     print("x,mu_hat")

@@ -48,7 +48,6 @@ from .smoothing import (
     admissible_bandwidth,
     bandwidth,
     gaussian_kernel,
-    parzen_sum,
 )
 from .tree_sim import GENERATION_SCOPE
 
@@ -92,9 +91,8 @@ class ExperimentConfig:
 
     Construction is the gate: __post_init__ refuses every config that cannot
     run, whether built in code, by config_from_dict or by dataclasses.replace,
-    starting with a scalar not of its annotated type, and stores each float
-    field as a float. Only the work (n0 >= 1, MAX_NODES) is admitted later,
-    by the runner.
+    starting with a scalar not of its annotated type and ending with its work
+    (n0 >= 1, MAX_NODES), and stores each float field as a float.
     """
 
     a: float
@@ -129,6 +127,7 @@ class ExperimentConfig:
             raise ValueError(f"initial must be 'stationary' or GaussianInitial: {self.initial!r}")
         if not math.isfinite(self.x):
             raise ValueError(f"query point x must be finite, got {self.x}")
+        _admitted_nodes(self.n, self.n0)
 
 
 @dataclass(frozen=True)
@@ -162,10 +161,11 @@ def _replicate_sums(tracks, reps, master_seed, chunk_size, terms):
     as deep as the deepest term, for every track (a, sigma, m0, rho0) in one
     engine pass.
 
-    `terms` maps a key to (track, g, reduce); the result maps it to the row
-    of, per replicate, reduce of each (replicates, columns) block of
-    generation g of tracks[track]'s trees, merged in numpy's pairwise order
-    (tree_sim.merge_block_sum) into the whole generation's sum bit for bit.
+    `terms` maps a key to (track, g, f), f elementwise; the result maps it
+    to the row of, per replicate, sum_{u in G_g} f(X_u) over tracks[track]'s
+    trees: each (replicates, columns) block's row sums (tree_sim.row_sums),
+    merged in numpy's pairwise order (tree_sim.merge_block_sum), are the
+    whole generation's np.sum bit for bit.
     Replicates run `chunk_size` at a time (None: tree_sim.chunk_rows), in one
     contiguous range per usable CPU from FORK_NODES nodes up in a process
     with os.fork and one Python thread (else one range), all but the first in
@@ -188,9 +188,9 @@ def _replicate_sums(tracks, reps, master_seed, chunk_size, terms):
             keys = tree_sim.replicate_keys(master_seed, start, stop)
             stacks = [[] for _ in terms]  # each term's carry stack of block sums
             for g, _, states in tree_sim.generation_blocks(tracks, keys, n):
-                for stack, (track, term_g, reduce) in zip(stacks, terms.values()):
+                for stack, (track, term_g, f) in zip(stacks, terms.values()):
                     if term_g == g:
-                        tree_sim.merge_block_sum(stack, reduce(states[track]))
+                        tree_sim.merge_block_sum(stack, tree_sim.row_sums(f(states[track])))
             for row, stack in zip(out, stacks):
                 row[start:stop] = stack[0][1]
         return out[:, first:last]
@@ -254,11 +254,11 @@ def run_clt_experiments(configs, chunk_size: Optional[int] = None) -> List[CltRu
     largest n0. Each statistic adds its scope's tallies on its own track over
     its config's first n0 replicates. A replicate's sums depend on its key
     alone, so each result is its config's solo one bit for bit, bar
-    wall_time_seconds: its group's pass.
+    wall_time_seconds: its group's pass. Every config admitted its own work,
+    so every group, as large as its largest member, is admitted.
     """
     groups = {}
-    for i, config in enumerate(configs):  # admitting every config first admits every group
-        _admitted_nodes(config.n, config.n0)
+    for i, config in enumerate(configs):
         groups.setdefault((config.master_seed, config.n), []).append(i)
     results = [None] * len(configs)
     for (master_seed, n), group in groups.items():
@@ -280,7 +280,7 @@ def run_clt_experiments(configs, chunk_size: Optional[int] = None) -> List[CltRu
             for scope, g, h in stats:  # one tally per key, however many statistics read it
                 for gen in tree_sim.scope_generations(scope, g):
                     terms.setdefault((t, gen, config.kernel_name, config.x, h), (
-                        t, gen, lambda s, K=K, x=config.x, h=h: parzen_sum(K, x, s, h)))
+                        t, gen, lambda s, K=K, x=config.x, h=h: K.evaluate((x - s) / h)))
             plans.append((i, config, model, schedule, K, t, stats))
         reps = max(configs[i].n0 for i in group)
         rows = _replicate_sums(list(tracks), reps, master_seed, chunk_size, terms)
@@ -407,7 +407,7 @@ def monte_carlo_generation_sums(
         raise ValueError(f"need generations >= 0, got {sorted(f_by_gen)}")
     model._require_noise("moment Monte Carlo")
     track = (model.a, model.sigma, float(x), 0.0)  # the root pinned at x
-    terms = {g: (0, g, lambda s, f=f: tree_sim.row_sums(f(s))) for g, f in f_by_gen.items()}
+    terms = {g: (0, g, f) for g, f in f_by_gen.items()}
     return _replicate_sums([track], reps, master_seed, None, terms)
 
 

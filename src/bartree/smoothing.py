@@ -101,11 +101,6 @@ def admissible_bandwidth(
     )
 
 
-def parzen_sum(K: SmoothingKernel, x, sample, h: float):
-    """sum_u K((x - X_u)/h) over the last axis of `sample`; `x` broadcasts."""
-    return row_sums(K.evaluate((x - sample) / h))
-
-
 def density_estimate(sample, x_points, h: float, K: SmoothingKernel):
     """mu_hat at each query point: |sample|^{-1} h^{-d} sum K((x - X_u)/h).
 
@@ -130,6 +125,6 @@ def density_estimate(sample, x_points, h: float, K: SmoothingKernel):
         if not np.all(np.isfinite(block)):  # a chunk at a time: no mask of the whole sample
             raise ValueError("sample contains non-finite values")
         for j, xj in enumerate(xq1):
-            acc[j] += parzen_sum(K, xj, block, h)
+            acc[j] += row_sums(K.evaluate((xj - block) / h))
     out = acc / (sample.size * h)
     return float(out[0]) if scalar else out

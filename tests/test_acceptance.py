@@ -283,8 +283,7 @@ def test_criterion4_moment_oracle_agreement(quad64):
     # one pass for all 9 cells: each is a track with its root pinned at x,
     # and its sums are those of monte_carlo_generation_sums bit for bit
     cells = [(a, x) for a in (0.0, 0.5, 0.9) for x in (0.0, 1.0, -1.3)]
-    terms = {(t, f, g): (t, g, lambda s, f=f: f(s).sum(axis=1))
-             for t in range(len(cells)) for f in fs.values() for g in gens}
+    terms = {(t, f, g): (t, g, f) for t in range(len(cells)) for f in fs.values() for g in gens}
     tracks = [(a, 1.0, x, 0.0) for a, x in cells]
     rows = iter(harness._replicate_sums(tracks, reps, 7, None, terms).values())
     bad = []

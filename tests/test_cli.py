@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bartree.bar_model import BarModel, stationary_initial
-from bartree import cli
+from bartree import cli, tree_sim
 from bartree.cli import main
 from bartree.harness import ExperimentConfig, run_clt_experiment
 from bartree.smoothing import BandwidthSchedule, bandwidth, density_estimate, gaussian_kernel
@@ -358,11 +358,12 @@ def test_moments_asks_the_oracle_before_simulating(capsys, monkeypatch):
 
 
 def test_estimate_refuses_a_non_finite_point_before_simulating(capsys, monkeypatch):
-    # the query points are checked before a tree of 2^21 - 1 states is stored
+    # the query points are checked before a tree of 2^21 - 1 states is
+    # simulated: the engine that simulate_tree runs is never entered
     def no_simulation(*args, **kwargs):
         raise AssertionError("the tree was simulated")
 
-    monkeypatch.setattr(cli, "simulate_generations", no_simulation)
+    monkeypatch.setattr(tree_sim, "generation_blocks", no_simulation)
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--a", "0.5", "--n", "20", "--gamma", "0.2", "--x=nan"])
     assert exc.value.code == 2
@@ -484,6 +485,8 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         (["simulate", "--a", "0.5", "--n", "-1"], "tree depth n=-1 out of range 0..62"),
         (["simulate", "--a", "0.5", "--n", "-1", "--dump", DUMP],
          "tree depth n=-1 out of range 0..62"),
+        (["estimate", "--a", "0.5", "--n", "-1", "--gamma", "0.2", "--x", "0.0"],
+         "tree depth n=-1 out of range 0..62"),
         (["simulate", "--a", "0.5", "--n", "63"], TOO_DEEP),
         (["simulate", "--a", "0.5", "--n", "63", "--dump", DUMP], TOO_DEEP),
         (["estimate", "--a", "0.5", "--n", "63", "--gamma", "0.2", "--x", "0.0"], TOO_DEEP),
@@ -550,7 +553,7 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
     ],
     ids=[
         "moments_m_above_n", "estimate_bad_x", "clt_n_too_deep", "simulate_negative_n",
-        "simulate_negative_n_dump", "simulate_n_too_deep", "simulate_n_too_deep_dump",
+        "simulate_negative_n_dump", "estimate_negative_n", "simulate_n_too_deep", "simulate_n_too_deep_dump",
         "estimate_n_too_deep", "simulate_n_above_stored_limit",
         "simulate_n_above_stored_limit_dump", "estimate_n_above_stored_limit",
         "clt_beyond_work_limit", "moments_zero_reps", "moments_one_rep", "check_m0_without_rho0",

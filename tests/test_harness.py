@@ -36,7 +36,7 @@ from bartree.harness import (
 )
 from bartree import harness, tree_sim
 from bartree.cli import main
-from bartree.smoothing import BandwidthSchedule, bandwidth, gaussian_kernel, parzen_sum
+from bartree.smoothing import BandwidthSchedule, bandwidth, gaussian_kernel
 from bartree.tree_sim import GENERATION_SCOPE, TREE_SCOPE, ReplicateSeed
 
 VAR_GEN_A05_X13 = 0.051713226787030620
@@ -51,7 +51,7 @@ def _config(**kw):
 # -- config validation ---------------------------------------------------------
 
 def test_config_validation_errors():
-    # the config refuses itself at construction; only the work waits for a run
+    # the config refuses itself at construction, its work included
     with pytest.raises(ValueError, match="kernel"):
         _config(kernel_name="epanechnikov")
     with pytest.raises(ValueError, match="scope"):
@@ -94,9 +94,26 @@ def test_non_finite_x_is_refused_at_construction(x):
         config_from_dict(dict(dataclasses.asdict(_config()), x=x))
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(n=40, n0=1), "1 x (2^41 - 1) = 2.2e+12 nodes exceeds the work limit MAX_NODES = 8.59e+09"),
+    (dict(n0=0), "need at least one replicate, got 0"),
+], ids=["beyond_max_nodes", "no_replicate"])
+def test_work_is_refused_at_construction(fields, message):
+    # the work is part of the config's gate, however the config is built
+    builds = [
+        lambda: _config(**fields),
+        lambda: dataclasses.replace(_config(), **fields),
+        lambda: config_from_dict(dict(dataclasses.asdict(_config()), **fields)),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 def test_work_is_refused_before_any_key(monkeypatch, model_half):
-    # the chunk driver admits the run before it derives a single key: a
-    # 2^41-node CLT run and a Monte Carlo of no replicates fail at once
+    # the work is admitted before a single key is derived: a 2^41-node CLT
+    # run and a Monte Carlo of no replicates fail at once
     def no_keys(*args):
         raise AssertionError("a replicate key was derived")
 
@@ -105,16 +122,17 @@ def test_work_is_refused_before_any_key(monkeypatch, model_half):
         run_clt_experiment(_config(n=40, n0=1))
     # a group of configs is as large as its largest member: at n = 30, five
     # trees exceed MAX_NODES and four do not, whatever the other members. An
-    # n = 6 group comes first: every group is admitted before the first pass,
-    # so a refused n = 30 group costs no key, and an admitted one lets the
-    # n = 6 pass reach its keys
+    # n = 6 group comes first: a refused n = 30 config is refused as it is
+    # built, so it costs no key, and an admitted one lets the n = 6 pass
+    # reach its keys
     assert 4 * (2**31 - 1) <= MAX_NODES < 5 * (2**31 - 1)
     for n0s, admitted in [((5,), False), ((4,), True), ((4, 4, 3), True),
                           ((4, 5, 1), False), ((5, 5), False)]:
-        configs = [_config(n=6)] + [_config(n=30, n0=n0, a=0.1 * k) for k, n0 in enumerate(n0s)]
         error, match = (AssertionError, "a replicate key") if admitted else (
             ValueError, "work limit MAX_NODES")
         with pytest.raises(error, match=match):
+            configs = [_config(n=6)] + [_config(n=30, n0=n0, a=0.1 * k)
+                                        for k, n0 in enumerate(n0s)]
             harness.run_clt_experiments(configs)
     with pytest.raises(ValueError, match="at least one replicate"):
         monte_carlo_generation_sums({2: np.sin}, 0.5, model_half, reps=0)
@@ -215,10 +233,10 @@ def test_chunk_size_is_invisible(forced_block_widths):
             assert zetas(chunk) == ref, (width, chunk)
 
 
-def _sin_sums(model, reduce=lambda s: np.sin(s).sum(axis=1)):
+def _sin_sums(model, f=np.sin):
     """_replicate_sums over generation 3 of 12 replicates rooted at 0.4."""
     return harness._replicate_sums([(model.a, model.sigma, 0.4, 0.0)], 12, 5, None,
-                                   {3: (0, 3, reduce)})[3]
+                                   {3: (0, 3, f)})[3]
 
 
 def test_worker_count_is_invisible(forced_split, forced_block_widths, model_half):
@@ -300,14 +318,14 @@ def test_a_failed_range_raises_and_reaps_every_child(forced_split, model_half, c
     # raises, no child is left, and neither side wrote a byte
     parent = os.getpid()
 
-    def reduce(states):
+    def f(states):
         if (os.getpid() != parent) == (failing == "child"):
             raise raised("no sum here")
-        return states.sum(axis=1)
+        return np.sin(states)
 
     forced_split(3)
     with pytest.raises(error, match=message):
-        _sin_sums(model_half, reduce)
+        _sin_sums(model_half, f)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert capfd.readouterr() == ("", "")
@@ -422,7 +440,7 @@ def test_block_steps_do_not_fault_their_temporaries_back_in():
         "harness.FORK_NODES = 2**62\n"  # serial: ru_minflt counts this process only
         "def run():\n"
         "    harness._replicate_sums([(0.5, 1.0, 0.0, 1.0)], 256, 3,"
-        " None, {15: (0, 15, lambda s: np.sin(s).sum(axis=1))})\n"
+        " None, {15: (0, 15, np.sin)})\n"
         "run()\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "run()\n"
@@ -516,12 +534,13 @@ def test_each_distinct_tally_is_made_once(monkeypatch):
     # chunk and one-block generations
     monkeypatch.setattr(harness, "FORK_NODES", 2**62)  # serial: every call is in this process
     calls = []
+    row_sums = tree_sim.row_sums
 
     def counting(*args):
         calls.append(args)
-        return parzen_sum(*args)
+        return row_sums(*args)
 
-    monkeypatch.setattr(harness, "parzen_sum", counting)
+    monkeypatch.setattr(tree_sim, "row_sums", counting)
     gen = _config(n=7)
     tree = dataclasses.replace(gen, scope=TREE_SCOPE)
     counts = []

@@ -42,10 +42,11 @@ def test_clt_sweep_refuses_a_sweep_without_a_verdict(argv):
 
 
 @pytest.mark.parametrize("argv", ["--gamma 1.5", "--a 1.2", "--n 0 --record-prev",
-                                  "--record-prev --n0 2"])
+                                  "--record-prev --n0 2", "--a 0.5 --n 40 --n0 2 --seeds 1"])
 def test_clt_sweep_refuses_a_config_before_any_output(argv):
-    # the config's gate refuses these (and independence_report needs 3
-    # pairs): a usage error before the header, not a traceback after it
+    # the config's gate refuses these, 2^42 nodes of work included (and
+    # independence_report needs 3 pairs): a usage error before the header,
+    # not a traceback after it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "scripts/clt_sweep.py", "--a", "0.5", "--n", "3",
