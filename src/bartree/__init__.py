@@ -6,55 +6,11 @@ or over the whole tree, quadrature-exact moment oracles for additive
 tree functionals, and a Monte Carlo harness that checks the central
 limit theorem for the fluctuation statistic across the sub-critical,
 critical and super-critical regimes.
+
+The package root names the CLT run's entry points; every other name is
+imported from its own module (bartree.tree_sim, bartree.bar_model, ...).
 """
 
-from .quadrature import QuadratureRule
-from .tree_sim import (
-    NodeAddress,
-    GenerationBuffer,
-    ReplicateSeed,
-    node_randomness,
-    simulate_generations,
-)
-from .bar_model import (
-    BarModel,
-    GaussianInitial,
-    BarAssumptionReport,
-    bar_transition,
-    invariant_density,
-    q_power_apply,
-    check_assumptions,
-)
-from .smoothing import (
-    SmoothingKernel,
-    BandwidthSchedule,
-    RegimeReport,
-    gaussian_kernel,
-    bandwidth,
-    admissible_bandwidth,
-    density_estimate,
-)
-from .fluctuations import (
-    FluctuationSample,
-    zeta,
-    theoretical_limit,
-    cross_generation_pairs,
-)
-from .oracle import (
-    MomentOracleResult,
-    mean_MGn,
-    second_moment_MGn,
-    cross_moment_MGn_MGm,
-)
-from .harness import (
-    ExperimentConfig,
-    CltRunResult,
-    run_clt_experiment,
-    run_clt_experiments,
-    ks_distance,
-    histogram,
-    independence_report,
-    export,
-)
+from .harness import ExperimentConfig, export, run_clt_experiments
 
 __version__ = "0.1.0"

@@ -8,12 +8,13 @@ Everything about Q is then explicit:
     Q^n f(x)  = E[ f(a^n x + sqrt(1 - a^{2n}) * sigma_a * G) ],
     mu        = N(0, sigma_a^2),      sigma_a = sigma / sqrt(1 - a^2),
 
-and the ergodic rate is alpha = |a|. The regime split used throughout
-(sub-critical / critical / super-critical) is 2*alpha^2 vs 1: the
-branching factor 2 against the squared mixing rate.
+and the ergodic rate is alpha = |a|. `ergodic_regime` alone splits the
+paper's three regimes: 2*alpha^2, the branching factor 2 times the squared
+mixing rate, against 1, critical within one float64 epsilon of it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,6 +83,15 @@ class BarAssumptionReport:
     alpha_regime: str
 
 
+def ergodic_regime(alpha: float) -> str:
+    """sub_critical, critical or super_critical: 2 alpha^2 against 1. No double
+    gives 2 alpha^2 == 1, so the doubles either side of 1/sqrt(2) are critical."""
+    excess = 2.0 * alpha * alpha - 1.0
+    if abs(excess) <= sys.float_info.epsilon:
+        return "critical"
+    return "sub_critical" if excess < 0.0 else "super_critical"
+
+
 def bar_transition(x: float, randomness: NodeStream, model: BarModel):
     """One kernel application: (a*x + eps0, a*x + eps1), eps i.i.d. N(0, sigma^2)."""
     e0, e1 = randomness.normal_pair(0)
@@ -140,7 +150,7 @@ def check_assumptions(
           mu(x) h(x)^2 = (1-a^4)^{-1/2} sqrt(1-a^2) / sqrt(2 pi sigma^2)
                          * exp(-(1-a^2)^2/(1+a^2) x^2/(2 sigma^2)),
           <mu, h^2> = (1-a^4)^{-1/2} sqrt(1-a^2) sqrt(1+a^2)/(1-a^2) = 1/(1-a^2).
-    * alpha_regime from 2 alpha^2 vs 1.
+    * alpha_regime: ergodic_regime(alpha).
     """
     model._require_noise("assumption checks")
     a2 = model.a * model.a
@@ -157,18 +167,10 @@ def check_assumptions(
 
     C0 = (1.0 + math.sqrt(1.0 - a2)) / (_SQRT_2PI * model.sigma)
 
-    two_alpha_sq = 2.0 * a2
-    if two_alpha_sq < 1.0:
-        regime = "sub_critical"
-    elif two_alpha_sq == 1.0:
-        regime = "critical"
-    else:
-        regime = "super_critical"
-
     return BarAssumptionReport(
         k1_min=k1,
         initial_ok=initial_ok,
         C0=C0,
         h_sq_mu_norm=1.0 / (1.0 - a2),
-        alpha_regime=regime,
+        alpha_regime=ergodic_regime(model.alpha),
     )

@@ -57,6 +57,11 @@ KERNELS = {"gaussian": gaussian_kernel}
 # one CPU at ~50 ns per node, and admits the deepest recorded run (n=22, n0=500).
 MAX_NODES = 2**33
 
+# The replicate limit of one run, whatever its depth: a CLT run holds about
+# 340 B per replicate, so 2^22 replicates stay near 1.4 GB, 42 times the
+# largest count a test or a benchmark workload runs (100,000).
+MAX_REPLICATES = 2**22
+
 # The smallest run split across worker processes: 2^22 nodes take about
 # 0.2 s on one CPU, while each process of a split run takes about 1,000
 # copy-on-write page faults; a two-way split of a 100k-replicate n = 1 run
@@ -92,7 +97,7 @@ class ExperimentConfig:
     Construction is the gate: __post_init__ refuses every config that cannot
     run, whether built in code, by config_from_dict or by dataclasses.replace,
     starting with a scalar not of its annotated type and ending with its work
-    (n0 >= 1, MAX_NODES), and stores each float field as a float.
+    (n0 >= 1, MAX_REPLICATES, MAX_NODES), and stores each float field as a float.
     """
 
     a: float
@@ -144,9 +149,13 @@ class CltRunResult:
 
 
 def _admitted_nodes(n, reps):
-    """Nodes in `reps` trees of depth n, refused below one tree or above MAX_NODES."""
+    """Nodes in `reps` trees of depth n, refused outside 1..MAX_REPLICATES trees
+    or above MAX_NODES nodes."""
     if reps < 1:
         raise ValueError(f"need at least one replicate, got {reps}")
+    if reps > MAX_REPLICATES:
+        raise ValueError(f"{reps} replicates exceed the replicate limit "
+                         f"MAX_REPLICATES = {MAX_REPLICATES}")
     nodes = reps * ((1 << (n + 1)) - 1)
     if nodes > MAX_NODES:
         raise ValueError(

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bar_model import ergodic_regime
 from .tree_sim import row_sums
 
 
@@ -73,7 +74,7 @@ def admissible_bandwidth(
     """Check the bandwidth exponent against all regime conditions.
 
     With d = 1: gamma must lie in (0, 1/d); the bias condition is
-    gamma > 1/(2s+d); in the super-critical regime (2 alpha^2 > 1) the
+    gamma > 1/(2s+d); in the super-critical regime (ergodic_regime) the
     ergodicity/variance trade-off additionally requires
     2^{d*gamma} > 2 alpha^2, i.e. gamma > (1 + log2(alpha^2)) / d,
     reported as the lower bound.
@@ -85,13 +86,9 @@ def admissible_bandwidth(
     g = schedule.gamma
     in_range = 0.0 < g < 1.0
     bias_ok = g > 1.0 / (2.0 * s + 1.0)
-    two_alpha_sq = 2.0 * alpha * alpha
-    if two_alpha_sq > 1.0:
-        sc_ok = 2.0**g > two_alpha_sq
-        lb = 1.0 + math.log(alpha * alpha) / math.log(2.0)
-    else:
-        sc_ok = True  # vacuous at or below criticality
-        lb = None
+    bounded = ergodic_regime(alpha) == "super_critical"
+    sc_ok = not bounded or 2.0**g > 2.0 * alpha * alpha  # vacuous at or below criticality
+    lb = 1.0 + math.log(alpha * alpha) / math.log(2.0) if bounded else None
     return RegimeReport(
         gamma_in_range=in_range,
         bias_ok=bias_ok,

@@ -10,7 +10,12 @@ from bartree import harness, tree_sim
 from bartree.bar_model import BarModel, bar_transition
 from bartree.quadrature import QuadratureRule
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+# the environment of a child interpreter that imports bartree from this
+# checkout: src ahead of whatever PYTHONPATH the tests run under
+CHILD_ENV = dict(os.environ,
+                 PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
 
 
 def load_script(name):

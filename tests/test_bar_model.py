@@ -9,6 +9,7 @@ from bartree.bar_model import (
     GaussianInitial,
     bar_transition,
     check_assumptions,
+    ergodic_regime,
     invariant_density,
     q_power_apply,
     stationary_initial,
@@ -205,6 +206,19 @@ def test_alpha_regime():
     assert check_assumptions(BarModel(0.7, 1.0)).alpha_regime == "sub_critical"
     assert check_assumptions(BarModel(0.9, 1.0)).alpha_regime == "super_critical"
     assert check_assumptions(BarModel(-0.9, 1.0)).alpha_regime == "super_critical"
+
+
+@pytest.mark.parametrize("a, regime", [
+    (0.7071067811865474, "sub_critical"),
+    (0.7071067811865475, "critical"),  # 1/sqrt(2)
+    (0.7071067811865476, "critical"),  # sqrt(0.5)
+    (0.7071067811865477, "super_critical"),
+])
+def test_critical_regime_is_the_two_doubles_next_to_its_point(a, regime):
+    # no double gives 2 a^2 == 1: the doubles either side of 1/sqrt(2) are critical
+    assert ergodic_regime(a) == regime
+    for signed in (a, -a):
+        assert check_assumptions(BarModel(signed, 1.0)).alpha_regime == regime
 
 
 def test_stationary_initial_matches_sigma_a():

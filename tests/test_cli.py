@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +14,7 @@ from bartree.harness import ExperimentConfig, run_clt_experiment
 from bartree.smoothing import BandwidthSchedule, bandwidth, density_estimate, gaussian_kernel
 from bartree.tree_sim import ReplicateSeed, simulate_generations
 
-ROOT = Path(__file__).resolve().parents[1]
-CHILD_ENV = dict(os.environ,
-                 PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+from conftest import CHILD_ENV, ROOT
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +40,17 @@ def test_check_supercritical_rejection(capsys):
     doc = json.loads(out)
     assert doc["regime"]["supercritical_ok"] is False
     assert abs(doc["regime"]["gamma_lower_bound_supercritical"] - 0.695993813109900) < 1e-5
+
+
+@pytest.mark.parametrize("a", ["0.7071067811865476", "-0.7071067811865475"])
+def test_check_reports_critical_next_to_one_over_root_two(capsys, a):
+    # sqrt(0.5) and -1/sqrt(2): critical, with no super-critical bound
+    code, out = run_cli(capsys, "check", f"--a={a}", "--gamma", "0.3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["assumptions"]["alpha_regime"] == "critical"
+    assert doc["regime"]["supercritical_ok"] is True
+    assert doc["regime"]["gamma_lower_bound_supercritical"] is None
 
 
 @pytest.mark.parametrize(
@@ -499,6 +507,8 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
          "need at least one replicate, got 0"),
         (["moments", "--f", "id", "--n", "2", "--x", "0.5", "--a", "0.5", "--reps", "1"],
          "standard error needs at least two replicates, got 1"),
+        (["moments", "--f", "id", "--n", "0", "--x", "0.5", "--a", "0.5", "--reps", "4194305"],
+         "exceed the replicate limit MAX_REPLICATES = 4194304"),
         (["check", "--a", "0.5", "--gamma", "0.201", "--m0", "0.0"],
          "provide --m0 and --rho0 together"),
         # the bias order is the kernel's, and a retired --s is not read as --sigma
@@ -556,7 +566,8 @@ TOO_BIG = "tree depth n=23 exceeds the stored-tree limit 22"
         "simulate_negative_n_dump", "estimate_negative_n", "simulate_n_too_deep", "simulate_n_too_deep_dump",
         "estimate_n_too_deep", "simulate_n_above_stored_limit",
         "simulate_n_above_stored_limit_dump", "estimate_n_above_stored_limit",
-        "clt_beyond_work_limit", "moments_zero_reps", "moments_one_rep", "check_m0_without_rho0",
+        "clt_beyond_work_limit", "moments_zero_reps", "moments_one_rep",
+        "moments_beyond_replicate_limit", "check_m0_without_rho0",
         "check_retired_s", "clt_missing_fields", "clt_unknown_field_in_config", "clt_bad_config_line",
         "clt_colon_config_line", "clt_missing_config_file", "clt_zero_bins",
         "clt_bins_without_histogram", "clt_float_n_in_config",

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +37,8 @@ from bartree import harness, tree_sim
 from bartree.cli import main
 from bartree.smoothing import BandwidthSchedule, bandwidth, gaussian_kernel
 from bartree.tree_sim import GENERATION_SCOPE, TREE_SCOPE, ReplicateSeed
+
+from conftest import CHILD_ENV
 
 VAR_GEN_A05_X13 = 0.051713226787030620
 
@@ -97,7 +98,9 @@ def test_non_finite_x_is_refused_at_construction(x):
 @pytest.mark.parametrize("fields, message", [
     (dict(n=40, n0=1), "1 x (2^41 - 1) = 2.2e+12 nodes exceeds the work limit MAX_NODES = 8.59e+09"),
     (dict(n0=0), "need at least one replicate, got 0"),
-], ids=["beyond_max_nodes", "no_replicate"])
+    (dict(n=0, n0=2**22 + 1),
+     "4194305 replicates exceed the replicate limit MAX_REPLICATES = 4194304"),
+], ids=["beyond_max_nodes", "no_replicate", "beyond_max_replicates"])
 def test_work_is_refused_at_construction(fields, message):
     # the work is part of the config's gate, however the config is built
     builds = [
@@ -399,10 +402,8 @@ def test_block_steps_hold_a_small_heap(monkeypatch):
 def _fresh_python(code):
     """Standard output of `code`, run by a fresh interpreter that imports
     bartree from this checkout, so that no other test's state counts."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", code], env=CHILD_ENV, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -6,9 +6,13 @@ own definition: code that only the tests call is either wired into a
 workload or deleted. A reference is a name, an attribute access, or a
 string naming an attribute (as in a `setattr` patch table). Imports do
 not count, so a re-export from `__init__` keeps nothing alive.
+
+Each symbol has one public name: the package root re-exports only the
+names that the README's library example imports from `bartree`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,3 +104,31 @@ def test_allowlist_is_current():
     symbols = dict(_public_symbols())
     stale = [q for q in sorted(ALLOWED) if q not in symbols or symbols[q] in names]
     assert not stale, f"stale ALLOWED entries: {stale}"
+
+
+def _bound_names(tree):
+    """Names a module binds at its top level: imports, assignments and defs."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_package_root_names_only_the_readme_library_surface():
+    # every other name has one home, its own module
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(example))
+        if isinstance(node, ast.ImportFrom) and node.module == "bartree"
+        for alias in node.names
+    }
+    bound = _bound_names(ast.parse((PACKAGE / "__init__.py").read_text()))
+    assert imported and {n for n in bound if not n.startswith("__")} == imported

@@ -7,14 +7,14 @@ pool (multiprocessing, concurrent.futures) would add to it too, where the
 CLT run's workers need only os.fork.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import CHILD_ENV, ROOT
+
+SRC = ROOT / "src"
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +26,8 @@ def loaded_packages():
         f"for name in {modules!r}: __import__('bartree.' + name)\n"
         "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=CHILD_ENV, capture_output=True, text=True, check=True
     ).stdout.split()
 
 

@@ -85,6 +85,20 @@ def test_admissibility_bias_condition_is_strict():
     assert admissible_bandwidth(BandwidthSchedule(0.2 + 1e-9), 2.0, 0.5).bias_ok
 
 
+@pytest.mark.parametrize("alpha, bounded", [
+    (0.7071067811865474, False), (0.7071067811865475, False),
+    (0.7071067811865476, False), (0.7071067811865477, True),
+])
+def test_supercritical_bound_applies_above_the_critical_doubles(alpha, bounded):
+    # at the two critical doubles next to 1/sqrt(2) the bound is vacuous, as below them
+    rep = admissible_bandwidth(BandwidthSchedule(0.3), 2.0, alpha)
+    assert rep.supercritical_ok and rep.admissible
+    lb = rep.gamma_lower_bound_supercritical
+    assert (lb is not None) is bounded
+    if bounded:
+        assert 0.0 < lb < 1e-15  # 1 + log2(alpha^2), a few ulps above 0
+
+
 def test_admissibility_input_validation():
     with pytest.raises(ValueError):
         admissible_bandwidth(BandwidthSchedule(0.3), 0.0, 0.5)
